@@ -19,34 +19,35 @@
 //
 // The benchmark asserts that trainer and arena probabilities agree
 // bit-for-bit, that the serial and 1-worker pipeline batches agree
-// bit-for-bit, and that the AM-DGCNN f64 arena forward — the paper's model
-// at reference precision — clears a >= 1.5x speedup floor over the trainer
-// forward.  Steady-state measurements sit around 1.9x; the floor is set
-// below that so host throttling cannot flake the smoke test.  Roughly half
-// of either forward is scalar-libm tanh — shared by both paths and pinned
-// by the bit-identity contract (any faster tanh would change the training
-// numerics too) — so the ratio is bounded near 2x even with every
-// removable byte of autograd, pool and copy overhead gone from the arena
-// path, and the bound tightens exactly where the autograd overhead is
-// smallest (f32, and the attention-free vanilla model).  Those
-// combinations are reported unasserted.
+// bit-for-bit, and — in full mode — that the AM-DGCNN f64 arena forward (the
+// paper's model at reference precision) clears a >= 1.5x speedup floor over
+// the trainer forward.  Steady-state measurements sit around 1.9x.  Roughly
+// half of the f64 forward is scalar-libm tanh, shared by both paths and
+// pinned by the bit-identity contract, so the f64 ratio is bounded near 2x
+// even with every removable byte of autograd, pool and copy overhead gone
+// from the arena path.  f32 replaces libm with the exact vectorized
+// fwd::tanh_inplace in both paths; its ratio and the vanilla model's are
+// reported unasserted.
 //
 // The f32 iteration additionally measures the quantized serving modes
 // (DESIGN.md §2.7): f16 and q8 arena forwards timed pairwise against the
 // exact f32 arena forward (same paired-ratio-median estimator), plus the
 // storage story — v3 checkpoint bytes and resident weight bytes against the
 // f64 reference checkpoint.  Two floors are asserted for the paper's model:
-// the q8 arena forward must clear >= 2x the f32 arena links/sec (the
-// relaxed-numerics kernels replace the scalar-libm tanh/exp that dominate
-// the exact forward), and the q8 checkpoint + resident weights must shrink
-// >= 4x vs the f64 reference (expected ~7.1x; f16 is exactly 4x and is
-// reported unasserted).  Serial vs 1-worker determinism is asserted per
-// quantized mode — the modes are not bit-identical to f32, but each one is
-// bit-identical to itself for any worker count.
+// in full mode the q8 arena forward must never be slower than the exact f32
+// arena forward (>= 1x; the exact forward's tanh is vectorized too now, so
+// q8 keeps only its f32-lane reductions and smaller weights), and in both
+// modes the q8 checkpoint + resident weights must shrink >= 4x vs the f64
+// reference (expected ~7.1x; f16 is exactly 4x and is reported unasserted).
+// Serial vs 1-worker determinism is asserted per quantized mode — the modes
+// are not bit-identical to f32, but each one is bit-identical to itself for
+// any worker count.
 //
 // Output goes to stdout as a table and to a JSON file (default
 // BENCH_inference.json in the current directory; override with --out PATH).
-// --smoke shrinks everything so the binary doubles as a CTest smoke test.
+// --smoke shrinks everything so the binary doubles as a CTest smoke test;
+// it keeps every byte-identity and storage gate but no wall-clock floor, which
+// a loaded parallel ctest run cannot hold reliably.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -246,7 +247,7 @@ void write_json(const std::string& path, const std::string& dataset,
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
       << "  \"speedup_gate\": {\"model\": \"AM-DGCNN\", \"dtype\": \"f64\", "
          "\"min\": 1.5},\n"
-      << "  \"quant_gates\": {\"q8_arena_speedup_vs_f32_min\": 2.0, "
+      << "  \"quant_gates\": {\"q8_arena_speedup_vs_f32_min\": 1.0, "
          "\"q8_shrink_vs_f64_min\": 4.0},\n"
       << "  \"dataset\": \"" << dataset << "\",\n"
       << "  \"forward_queries\": " << forward_queries << ",\n"
@@ -411,10 +412,10 @@ int main(int argc, char** argv) {
                   trainer_row.p50_us, arena_row.p50_us);
       // The asserted floor (see the header comment): the paper's model at
       // reference precision must clear 1.5x — set below the ~1.9x
-      // steady-state so host throttling cannot flake the smoke run.  Other
+      // steady-state so host throttling cannot flake the full run.  Other
       // combos are reported unasserted.
-      if (kind == models::GnnKind::kAMDGCNN && dtype == ag::Dtype::f64 &&
-          speedup < 1.5) {
+      if (!smoke && kind == models::GnnKind::kAMDGCNN &&
+          dtype == ag::Dtype::f64 && speedup < 1.5) {
         std::fprintf(stderr,
                      "FATAL: %s %s arena forward is only %.2fx the trainer "
                      "forward (asserted floor: >= 1.5x)\n",
@@ -555,23 +556,18 @@ int main(int argc, char** argv) {
     results.push_back(std::move(mr));
   }
 
-  // Speed gate: the q8 arena forward must clear >= 2x the exact f32 arena
-  // links/sec on at least one model shape.  The win comes from the
-  // relaxed-numerics kernels (table-free fast tanh/exp replace the scalar
-  // libm calls that dominate the exact forward), which only the quantized
-  // modes may use — the exact paths are pinned by the bit-identity
-  // contract.
-  {
-    double best_q8 = 0.0;
-    for (const auto& mr : results)
-      best_q8 = std::max(best_q8, mr.quant.speedup_q8);
-    std::printf("best q8 arena speedup vs f32 arena: %.2fx\n", best_q8);
-    if (best_q8 < 2.0) {
+  // Speed gate (full mode): the q8 arena forward is never slower than the
+  // exact f32 arena forward, on every model shape.  Both run vectorized
+  // tanh; what q8 keeps is its relaxed softmax/reductions and 4x smaller
+  // weights, so the floor is parity, not a multiple.
+  for (const auto& mr : results) {
+    std::printf("%-14s q8 arena speedup vs f32 arena: %.2fx\n",
+                mr.model.c_str(), mr.quant.speedup_q8);
+    if (!smoke && mr.quant.speedup_q8 < 1.0) {
       std::fprintf(stderr,
-                   "FATAL: best q8 arena speedup is only %.2fx the f32 "
-                   "arena forward (asserted floor: >= 2x on at least one "
-                   "model)\n",
-                   best_q8);
+                   "FATAL: %s q8 arena forward is only %.2fx the f32 arena "
+                   "forward (asserted floor: >= 1x)\n",
+                   mr.model.c_str(), mr.quant.speedup_q8);
       return 1;
     }
   }

@@ -14,10 +14,14 @@
 // and node rows cut the cold-link cost.
 //
 // Asserted gates (the binary exits non-zero on violation):
-//   * speedup — batched warm-pool serving must clear >= 2x the baseline
-//     links/sec on BOTH shapes: cora-sim (trained f32 model) and the scale
-//     tier (make_scale_kg graph, randomly initialised model — throughput
-//     only, accuracy is meaningless there).
+//   * speedup (full mode only) — batched warm-pool serving must clear >= 2x
+//     the baseline links/sec on BOTH shapes: cora-sim (trained f32 model)
+//     and the scale tier (make_scale_kg graph, randomly initialised model —
+//     throughput only, accuracy is meaningless there).
+//   * work saved (both modes) — the Server's counters must reconcile,
+//     scored == links - deduped - score_hits, and dedup or the score cache
+//     must have skipped at least one forward.  Unlike a wall-clock ratio,
+//     this holds on a loaded host, so it is what the --smoke CTest gates.
 //   * bit-identity — every Server response must be byte-identical to the
 //     serial cold predict_links answer for the exact schemes (f32 and f64
 //     storage), and byte-identical ACROSS WORKER COUNTS for every scheme
@@ -120,11 +124,12 @@ std::int64_t count_distinct(
 }
 
 /// Time both modes over one request stream and enforce the identity and
-/// speedup gates.  Returns false on a gate violation (after printing it).
+/// work-saved gates, plus the speedup gate unless `smoke`.  Returns false on
+/// a gate violation (after printing it).
 bool run_shape(const char* shape, const core::LinkPredictor& predictor,
                const graph::KnowledgeGraph& g,
                const std::vector<std::vector<seal::LinkExample>>& requests,
-               ShapeRow& row) {
+               bool smoke, ShapeRow& row) {
   row.shape = shape;
   row.distinct = count_distinct(requests);
   std::vector<core::LinkPredictions> base_results;
@@ -203,7 +208,20 @@ bool run_shape(const char* shape, const core::LinkPredictor& predictor,
               row.base_p50_ms, row.base_p99_ms, row.serve_links_per_sec,
               row.serve_p50_ms, row.serve_p99_ms, row.speedup,
               row.score_hit_rate);
-  if (row.speedup < 2.0) {
+  if (s.links != row.links || s.scored != s.links - s.deduped - s.score_hits ||
+      s.deduped + s.score_hits < 1) {
+    std::fprintf(stderr,
+                 "FATAL: %s: server counters links=%lld deduped=%lld "
+                 "score_hits=%lld scored=%lld do not reconcile with %lld "
+                 "links, or no forward was saved\n",
+                 shape, static_cast<long long>(s.links),
+                 static_cast<long long>(s.deduped),
+                 static_cast<long long>(s.score_hits),
+                 static_cast<long long>(s.scored),
+                 static_cast<long long>(row.links));
+    return false;
+  }
+  if (!smoke && row.speedup < 2.0) {
     std::fprintf(stderr,
                  "FATAL: %s: batched warm-pool serving is only %.2fx the "
                  "per-request baseline (asserted floor: >= 2x)\n",
@@ -332,7 +350,8 @@ int main(int argc, char** argv) {
   {
     const core::LinkPredictor predictor(*model_f32, cora_options(ag::Dtype::f32));
     ShapeRow row;
-    if (!run_shape("cora-sim", predictor, data.graph, cora_requests, row))
+    if (!run_shape("cora-sim", predictor, data.graph, cora_requests, smoke,
+                   row))
       return 1;
     shapes.push_back(row);
   }
@@ -422,7 +441,7 @@ int main(int argc, char** argv) {
         g, hot, /*pool=*/smoke ? 8 : 32, /*per_request=*/smoke ? 12 : 32,
         /*requests=*/smoke ? 12 : 24, /*seed=*/113);
     ShapeRow row;
-    if (!run_shape("scale-kg", predictor, g, requests, row)) return 1;
+    if (!run_shape("scale-kg", predictor, g, requests, smoke, row)) return 1;
     shapes.push_back(row);
   }
 

@@ -16,6 +16,16 @@
 # ThreadSanitizer spot-check (AMDGCNN_SANITIZE=thread) over the pool/queue
 # synchronisation in a third tree.
 #
+# Both modes check the exact f32 tanh kernel against
+# (float)std::tanh((double)x) on all 2^32 inputs (bench_tanh_exhaustive), once
+# in the Release tree (-march=native: FMA-contracted where the host has FMA)
+# and, unless --skip-sanitize, once in the sanitizer tree (no -march: every step rounded separately).
+#
+# Full mode also asserts the benches' wall-clock speedup floors (serving >= 2x
+# the per-request baseline, q8 arena >= 1x exact f32, f64 arena >= 1.5x the
+# trainer); --smoke, like the CTest smoke runs, gates only on bytes and
+# counters.
+#
 # Usage: scripts/run_benches.sh [--smoke] [--skip-sanitize]
 #   --smoke           shrink datasets/iterations (seconds instead of minutes)
 #   --skip-sanitize   skip the sanitizer re-runs of the new test layers
@@ -47,7 +57,9 @@ cmake -B "${build_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${build_dir}" -j \
   --target bench_training_throughput bench_extraction_throughput \
            bench_inference_throughput bench_dynamic_graph \
-           bench_serving_throughput
+           bench_serving_throughput bench_tanh_exhaustive
+
+"${build_dir}/bench/bench_tanh_exhaustive"
 
 "${build_dir}/bench/bench_training_throughput" \
   --out "${repo_root}/BENCH_training.json" ${bench_args[@]+"${bench_args[@]}"}
@@ -95,7 +107,11 @@ if [[ "${run_sanitize}" -eq 1 ]]; then
   cmake --build "${asan_dir}" -j \
     --target amdgcnn_tests amdgcnn_dtype_tests amdgcnn_infer_tests \
              amdgcnn_dynamic_tests amdgcnn_scale_tests amdgcnn_quant_tests \
-             amdgcnn_serve_tests
+             amdgcnn_serve_tests bench_tanh_exhaustive
+  # The Release sweep above ran with -march=native; this tree has no -march,
+  # so the kernel's multiply-adds round separately and the 2^32 proof is
+  # repeated for that code generation.
+  "${asan_dir}/bench/bench_tanh_exhaustive"
   require_tests "${asan_dir}" \
     -R 'ParallelDatasetBuild|DrnlProperty|ExtractionProperty|DynamicGraphProperty|BufferPool|SortPoolEquivalence'
   ctest --test-dir "${asan_dir}" --output-on-failure \

@@ -206,9 +206,9 @@ inline const float* decode_to(const ag::quant::QuantizedTensor& qt,
 //     mark/rewind scope, so at most one stage's decoded weights are live
 //     at a time (resident weights stay quantized);
 //   * tanh and the attention softmax run the polynomial fast_exp/fast_tanh
-//     kernels with f32 accumulation (fwd_kernels.h relaxed section) — the
-//     scalar-libm tanh alone is ~55% of the exact f32 forward, so this is
-//     where the ≥2x throughput gate is won.
+//     kernels with f32 accumulation (fwd_kernels.h relaxed section).  The
+//     exact f32 forward's tanh is vectorized as well (fwd::tanh_inplace),
+//     so this path measures only ~1.2x the exact one.
 const float* FrozenModel::forward_quant(const seal::SubgraphSample& sample,
                                         Arena& arena) const {
   namespace fwd = ag::fwd;
@@ -596,7 +596,7 @@ const T* FrozenModel::forward_impl(const seal::SubgraphSample& sample,
                                 out_l);
     }
 
-    for (std::int64_t i = 0; i < n * w; ++i) out_l[i] = std::tanh(out_l[i]);
+    fwd::tanh_inplace(out_l, n * w);
     arena.rewind(scratch);  // drop everything but the layer output
     outs[l] = out_l;
     h = out_l;

@@ -261,7 +261,7 @@ template <typename T>
 Tensor linear_tanh_impl(const Tensor& a, const Tensor& w, const Tensor& bias) {
   const std::int64_t n = a.dim(0), k = a.dim(1), m = w.dim(1);
   std::vector<T> out = linear_forward<T>(a, w, bias);
-  for (auto& v : out) v = std::tanh(v);
+  fwd::tanh_inplace(out.data(), static_cast<std::int64_t>(out.size()));
   return Tensor::make_op_result(
       {n, m}, std::move(out), {a, w, bias},
       [a, w, bias, n, k, m](detail::TensorImpl& self) {
@@ -479,7 +479,8 @@ template <typename T>
 Tensor tanh_act_impl(const Tensor& a) {
   const auto& av = a.data_as<T>();
   std::vector<T> out = detail::new_buffer_t<T>(av.size());
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = std::tanh(av[i]);
+  std::copy(av.begin(), av.end(), out.begin());
+  fwd::tanh_inplace(out.data(), static_cast<std::int64_t>(out.size()));
   return Tensor::make_op_result(
       a.shape(), std::move(out), {a}, [a](detail::TensorImpl& self) {
         if (!wants_grad(a)) return;

@@ -3,15 +3,19 @@
 // Covers the ops::cast boundary, f32 gradchecks of the GNN layers (with
 // single-precision tolerances derived in test_util.h), f32/f64 checkpoint
 // round-trips plus the v1 backward-compat fixture, dtype/trailing-byte
-// rejection, and the bit-determinism contract of the parallel trainer at
-// f32.  Built into its own binary so `ctest -L dtype` runs exactly this
+// rejection, the bit-determinism contract of the parallel trainer at f32,
+// and the exact f32 tanh kernel's bit equality with the f64 reference.
+// Built into its own binary so `ctest -L dtype` runs exactly this
 // file (tests/CMakeLists.txt labels it `unit;dtype`).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -22,6 +26,7 @@
 #include "nn/gcn_conv.h"
 #include "nn/linear.h"
 #include "nn/mlp.h"
+#include "tensor/fwd_kernels.h"
 #include "tensor/ops.h"
 #include "test_util.h"
 
@@ -342,6 +347,112 @@ TEST(DtypeTrainer, F32ParallelTrainingIsBitDeterministic) {
   ASSERT_EQ(params1.size(), params4.size());
   for (std::size_t i = 0; i < params1.size(); ++i)
     ASSERT_EQ(params1[i], params4[i]) << "parameter flat index " << i;
+}
+
+// ---- exact f32 tanh kernel (fwd::tanh_inplace) --------------------------------
+//
+// The f32 kernel must return (float)std::tanh((double)x) bit for bit.  These
+// cases sample the 2^32 patterns where a polynomial tanh goes wrong first;
+// bench_tanh_exhaustive sweeps all of them.
+
+/// Runs the kernel once over all `patterns` (vector body and scalar tail) and
+/// counts the lanes whose bits differ from the reference.
+void expect_tanh_f32_exact(const std::vector<std::uint32_t>& patterns) {
+  std::vector<float> y(patterns.size());
+  for (std::size_t i = 0; i < y.size(); ++i)
+    y[i] = std::bit_cast<float>(patterns[i]);
+  ag::fwd::tanh_inplace(y.data(), static_cast<std::int64_t>(y.size()));
+  std::size_t failures = 0;
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    const float x = std::bit_cast<float>(patterns[i]);
+    const auto want = std::bit_cast<std::uint32_t>(
+        static_cast<float>(std::tanh(static_cast<double>(x))));
+    const auto got = std::bit_cast<std::uint32_t>(y[i]);
+    if (got != want && ++failures <= 5)
+      ADD_FAILURE() << std::hex << "x=0x" << patterns[i] << " got 0x" << got
+                    << " want 0x" << want;
+  }
+  EXPECT_EQ(failures, 0u) << "of " << patterns.size() << " patterns";
+}
+
+/// `count` consecutive patterns from `first`, for both signs.
+void add_run(std::vector<std::uint32_t>& out, std::uint32_t first,
+             std::uint32_t count) {
+  for (std::uint32_t i = 0; i < count; ++i) {
+    out.push_back((first + i) & 0x7fffffffu);
+    out.push_back((first + i) | 0x80000000u);
+  }
+}
+
+TEST(TanhKernel, F32StridedSweepOverAllBitPatterns) {
+  std::vector<std::uint32_t> patterns;
+  for (std::uint64_t b = 0; b < (std::uint64_t{1} << 32); b += 4093)
+    patterns.push_back(static_cast<std::uint32_t>(b));
+  expect_tanh_f32_exact(patterns);
+}
+
+TEST(TanhKernel, F32DenseBelowTwoToMinusTen) {
+  // Every binade below 2^-10 (tanh x rounds to x or its neighbour there):
+  // both ends densely, the interior strided.
+  std::vector<std::uint32_t> patterns;
+  const std::uint32_t top = std::bit_cast<std::uint32_t>(0x1p-10f);
+  for (std::uint32_t b = 0; b < top; b += 1u << 23) {
+    add_run(patterns, b, 1024);
+    add_run(patterns, b + (1u << 23) - 1024, 1024);
+    for (std::uint32_t m = 1024; m < (1u << 23) - 1024; m += 4099)
+      add_run(patterns, b + m, 1);
+  }
+  add_run(patterns, top, 1024);
+  expect_tanh_f32_exact(patterns);
+}
+
+TEST(TanhKernel, F32ReductionBoundariesAndClamp) {
+  // k = round(-2|x| / ln2) switches at |2x| = (2j+1)·ln2/2: dense runs
+  // around every switch point in range, then around the clamp at 10 and
+  // the point where tanh rounds to 1.0f.
+  std::vector<std::uint32_t> patterns;
+  for (int j = 0; j <= 29; ++j) {
+    const auto x = static_cast<float>((2 * j + 1) * std::log(2.0) / 4.0);
+    add_run(patterns, std::bit_cast<std::uint32_t>(x) - 2048, 4096);
+  }
+  add_run(patterns, std::bit_cast<std::uint32_t>(10.0f) - 32768, 65536);
+  add_run(patterns, std::bit_cast<std::uint32_t>(9.01f) - 32768, 65536);
+  expect_tanh_f32_exact(patterns);
+}
+
+TEST(TanhKernel, F32SpecialValues) {
+  std::vector<std::uint32_t> patterns;
+  // Subnormals: both ends densely, the rest strided; ±0 is pattern 0.
+  add_run(patterns, 0, 4096);
+  add_run(patterns, 0x00800000u - 4096, 4096);
+  for (std::uint32_t b = 4096; b < 0x00800000u; b += 257)
+    add_run(patterns, b, 1);
+  // ±inf, quiet and signalling NaNs with assorted payloads, largest finite.
+  for (const std::uint32_t b :
+       {0x7f800000u, 0x7f800001u, 0x7f812345u, 0x7fbfffffu, 0x7fc00000u,
+        0x7fc00001u, 0x7fd2468au, 0x7fffffffu, 0x7f7fffffu})
+    add_run(patterns, b, 1);
+  expect_tanh_f32_exact(patterns);
+}
+
+TEST(TanhKernel, F64IsStdTanh) {
+  std::vector<double> x;
+  for (std::uint64_t b = 0; b < (std::uint64_t{1} << 32); b += 65521)
+    x.push_back(static_cast<double>(
+        std::bit_cast<float>(static_cast<std::uint32_t>(b))));
+  for (const double v : {0.0, -0.0, 1e-310, -1e-300, 0.5, -3.25, 19.0, 23.5,
+                         -1e300, std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()})
+    x.push_back(v);
+  std::vector<double> y = x;
+  ag::fwd::tanh_inplace(y.data(), static_cast<std::int64_t>(y.size()));
+  std::size_t failures = 0;
+  for (std::size_t i = 0; i < x.size(); ++i)
+    if (std::bit_cast<std::uint64_t>(y[i]) !=
+            std::bit_cast<std::uint64_t>(std::tanh(x[i])) &&
+        ++failures <= 5)
+      ADD_FAILURE() << "x=" << x[i];
+  EXPECT_EQ(failures, 0u);
 }
 
 TEST(DtypeTrainer, F32TrainingLearns) {

@@ -358,6 +358,43 @@ TEST(EpochExtraction, MatchesLegacyKernelOnRandomGraphs) {
   }
 }
 
+// Dense graphs whose 2-hop unions run to hundreds of nodes, with ids that
+// need two and three bytes: the epoch kernel radix-sorts such unions and
+// partial-sorts the capped candidates, and must still match the legacy
+// kernel's full scan and full sort bit for bit.
+TEST(EpochExtraction, MatchesLegacyKernelOnLargeNeighborhoods) {
+  for (const std::int64_t nodes : {3000, 70000}) {
+    datasets::RandomKGOptions o;
+    o.num_nodes = nodes;
+    o.num_edges = nodes * 12;
+    o.seed = 5;
+    const auto g = datasets::make_random_kg(o);
+    const auto links = random_links(g, 12, /*num_classes=*/2, 17);
+    for (const auto mode : {graph::NeighborhoodMode::kUnion,
+                            graph::NeighborhoodMode::kIntersection}) {
+      for (const std::int64_t cap : {0, 32}) {
+        graph::ExtractOptions legacy;
+        legacy.mode = mode;
+        legacy.num_hops = 2;
+        legacy.max_nodes = cap;
+        legacy.collect_hull = true;
+        legacy.clear_per_link = true;
+        auto epoch = legacy;
+        epoch.clear_per_link = false;
+        for (const auto& l : links) {
+          const auto want = extract_enclosing_subgraph(g, l.a, l.b, legacy);
+          ASSERT_GT(want.hull.size(), 256u);
+          expect_subgraphs_equal(
+              extract_enclosing_subgraph(g, l.a, l.b, epoch), want,
+              "nodes=" + std::to_string(nodes) + " cap=" +
+                  std::to_string(cap) + " link=(" + std::to_string(l.a) +
+                  "," + std::to_string(l.b) + ")");
+        }
+      }
+    }
+  }
+}
+
 // The frontier cache keys on the graph's generation: a mutation between two
 // extractions of the same link must invalidate, never replay stale hops.
 TEST(EpochExtraction, FrontierCacheInvalidatesAcrossMutations) {
