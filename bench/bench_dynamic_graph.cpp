@@ -11,19 +11,20 @@
 //     an overlay update is O(degree) on first touch of an endpoint and O(1)
 //     amortised after, while a rebuild is O(V + E) — so the floor only
 //     guards against the overlay degenerating into a rebuild.
-//   * serving — classification throughput of the cached predict_links path
-//     while the graph mutates underneath it, swept over the update rate
-//     (mutations per query batch).  Reports the cache hit/invalidation
-//     counters so the throughput numbers can be read against cache
-//     effectiveness: at rate 0 repeat batches are pure hits; higher rates
-//     dirty more hop-hulls and push the path back toward cold extraction.
+//   * serving — classification throughput of a 1-worker serve::Server (and
+//     its hull-validated score LRU) while the graph mutates underneath it,
+//     swept over the update rate (mutations per query batch).  Reports the
+//     ServerStats score-cache hit/invalidation counters so the throughput
+//     numbers can be read against cache effectiveness: at rate 0 repeat
+//     batches are pure hits; higher rates dirty more hop-hulls and push the
+//     path back toward cold extraction.
 //   * compaction — one long update stream compacted every K updates
 //     (including never), reporting updates/sec with the compaction cost
 //     folded in plus the peak overlay depth, i.e. the memory-vs-throughput
 //     trade the cadence knob buys.
 //
-// The serving section asserts that cached probabilities stay bit-identical
-// to a cache-off predictor at every sampled rate (the coherence contract of
+// The serving section asserts that served probabilities stay bit-identical
+// to cold predict_links at every sampled rate (the coherence contract of
 // the score cache under mutation).
 //
 // Output goes to stdout as a table and to a JSON file (default
@@ -41,6 +42,7 @@
 #include "core/link_predictor.h"
 #include "graph/graph_types.h"
 #include "models/trainer.h"
+#include "serve/server.h"
 #include "util/rng.h"
 
 namespace {
@@ -264,10 +266,10 @@ int main(int argc, char** argv) {
   for (const int rate : {0, 1, 4, 16}) {
     auto g = data.graph;
     UpdateStream stream(g, 23);
-    po.cache_scores = true;
-    core::LinkPredictor cached(*model, po);
-    po.cache_scores = false;
-    core::LinkPredictor cold(*model, po);
+    const core::LinkPredictor predictor(*model, po);
+    serve::ServerOptions so;
+    so.num_workers = 1;
+    serve::Server server(predictor, g, so);
 
     // Candidate batches from the held-out links (wraps if the pool runs
     // past the end).
@@ -283,16 +285,16 @@ int main(int argc, char** argv) {
     for (int r = 0; r < rounds; ++r) {
       for (int u = 0; u < rate; ++u) stream.step();
       const auto& links = batches[static_cast<std::size_t>(r) % pool];
-      util::Stopwatch watch;  // only the cached call is in the clock
-      const auto got = cached.predict_links(g, links);
+      util::Stopwatch watch;  // only the served call is in the clock
+      const auto got = server.score_batch(links);
       row.seconds += watch.seconds();
       served += static_cast<std::int64_t>(links.size());
       // Coherence gate, sampled so the bench stays affordable; the cold
       // pass runs outside the clock.
       if (r % 5 == 0 &&
-          got.proba != cold.predict_links(g, links).proba) {
+          got.proba != predictor.predict_links(g, links).proba) {
         std::fprintf(stderr,
-                     "FATAL: cached scores diverge from cold path at "
+                     "FATAL: served scores diverge from cold path at "
                      "rate %d round %d\n",
                      rate, r);
         return 1;
@@ -300,12 +302,13 @@ int main(int argc, char** argv) {
     }
     row.links_per_sec =
         row.seconds > 0.0 ? static_cast<double>(served) / row.seconds : 0.0;
-    const auto& st = cached.cache_stats();
-    row.hit_rate = st.hits + st.misses > 0
-                       ? static_cast<double>(st.hits) /
-                             static_cast<double>(st.hits + st.misses)
+    const auto st = server.stats();
+    row.hit_rate = st.score_hits + st.score_misses > 0
+                       ? static_cast<double>(st.score_hits) /
+                             static_cast<double>(st.score_hits +
+                                                 st.score_misses)
                        : 0.0;
-    row.invalidated = st.invalidated;
+    row.invalidated = st.score_invalidated;
     serving.push_back(row);
     std::printf("serving: rate=%2d  %8.1f links/sec  hit_rate=%.3f  "
                 "invalidated=%lld\n",

@@ -3,7 +3,7 @@
 // For each dataset it measures end-to-end links/sec of build_samples under
 //   * the legacy serial loop            (num_threads = 0),
 //   * the deterministic parallel path with 1 worker, and
-//   * the parallel path with all hardware workers (when OpenMP is present);
+//   * the parallel path with all hardware workers (on a multi-core host);
 // the parallel rows must be bit-identical to the serial build — the
 // benchmark asserts this over every tensor byte, edge list and label.
 // Alongside, it times the three pipeline stages in isolation on the serial

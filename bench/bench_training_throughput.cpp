@@ -4,7 +4,7 @@
 // simulators and reports end-to-end samples/sec for
 //   * the legacy serial trainer path   (num_threads = 0),
 //   * the deterministic parallel path with 1 worker, and
-//   * the parallel path with all hardware workers (when OpenMP is present);
+//   * the parallel path with all hardware workers (on a multi-core host);
 // the two parallel rows must produce bit-identical losses — the benchmark
 // asserts this.  Alongside, it times the three dominant primitives
 // (matmul forward+backward, segment_softmax, scatter_add_rows) in µs/op and
@@ -22,10 +22,6 @@
 #include <tuple>
 #include <utility>
 #include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "bench_common.h"
 #include "models/trainer.h"
@@ -289,10 +285,7 @@ int main(int argc, char** argv) {
   const int epochs = smoke ? 1 : 5;
   const int micro_iters = smoke ? 50 : 2000;
 
-  int max_threads = 1;
-#ifdef _OPENMP
-  max_threads = omp_get_max_threads();
-#endif
+  const int max_threads = static_cast<int>(seal::default_build_threads());
 
   std::vector<datasets::LinkDataset> data;
   {

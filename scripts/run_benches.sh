@@ -13,8 +13,8 @@
 # quantized-inference suite (f16 codec, q8 blocks, v3 checkpoint negative
 # paths) AND the serving suite (worker pool, batched Server, cache layers)
 # under ASan+UBSan (AMDGCNN_SANITIZE=ON) in a separate build tree, plus a
-# ThreadSanitizer spot-check (AMDGCNN_SANITIZE=thread) over the pool/queue
-# synchronisation in a third tree.
+# ThreadSanitizer pass (AMDGCNN_SANITIZE=thread) over the serve, dynamic,
+# infer and parallel suites in a third tree.
 #
 # Both modes check the exact f32 tanh kernel against
 # (float)std::tanh((double)x) on all 2^32 inputs (bench_tanh_exhaustive), once
@@ -144,16 +144,23 @@ if [[ "${run_sanitize}" -eq 1 ]]; then
   ctest --test-dir "${asan_dir}" --output-on-failure -L serve -E bench_
   echo "sanitizer pass over the parallel-build, dtype, infer, dynamic, scale, quant and serve test layers: OK"
 
-  # ThreadSanitizer spot-check of the pool/queue synchronisation: condvar
-  # parking, job hand-off, error capture, graceful shutdown.  Restricted to
-  # the WorkerPool lifecycle/fork-join cases — they never enter an OpenMP
-  # region, which TSan cannot instrument (libgomp's internal barriers would
-  # drown the report in false positives).
+  # ThreadSanitizer pass over every suite that runs work on util::WorkerPool:
+  # the serving runtime (pool lifecycle, queue, dispatcher), the dynamic and
+  # infer suites (parallel predict_links and build_samples over mutating
+  # graphs), and the parallel dataset build, trainer and parallel_for cases.
+  # -E: the bench smokes carry some of these labels too, but their wall-clock
+  # floors are calibrated for an uninstrumented Release build.
   cmake -B "${tsan_dir}" -S "${repo_root}" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DAMDGCNN_SANITIZE=thread
-  cmake --build "${tsan_dir}" -j --target amdgcnn_serve_tests
-  require_tests "${tsan_dir}" -R 'WorkerPoolRun|WorkerPoolLifecycle'
-  ctest --test-dir "${tsan_dir}" --output-on-failure \
-    -R 'WorkerPoolRun|WorkerPoolLifecycle'
-  echo "ThreadSanitizer pass over the worker-pool lifecycle tests: OK"
+  cmake --build "${tsan_dir}" -j --target amdgcnn_serve_tests \
+    amdgcnn_dynamic_tests amdgcnn_infer_tests amdgcnn_tests
+  for label in serve dynamic infer; do
+    require_tests "${tsan_dir}" -L "${label}" -E bench_
+    ctest --test-dir "${tsan_dir}" --output-on-failure -L "${label}" -E bench_
+  done
+  parallel_tests='ParallelDatasetBuild|ParallelTrainer|ParallelFor'
+  require_tests "${tsan_dir}" -R "${parallel_tests}" -E bench_
+  ctest --test-dir "${tsan_dir}" --output-on-failure -R "${parallel_tests}" \
+    -E bench_
+  echo "ThreadSanitizer pass over the serve, dynamic, infer and parallel suites: OK"
 fi

@@ -8,6 +8,7 @@
 #include "metrics/classification.h"
 #include "tensor/ops.h"
 #include "tensor/optim.h"
+#include "util/worker_pool.h"
 
 namespace amdgcnn::baselines {
 
@@ -120,14 +121,15 @@ std::vector<double> Wlnm::encode_links(
   eo.num_hops = options_.num_hops;
   eo.max_nodes = 4 * options_.vertex_budget;  // WL sees a little context
   std::vector<double> x(links.size() * static_cast<std::size_t>(input_dim_));
-#pragma omp parallel for schedule(dynamic)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(links.size()); ++i) {
-    const auto sub =
-        graph::extract_enclosing_subgraph(g, links[i].a, links[i].b, eo);
-    const auto enc = wlnm_encode(sub, options_.vertex_budget,
-                                 options_.wl_iterations);
-    std::copy(enc.begin(), enc.end(), x.begin() + i * input_dim_);
-  }
+  util::parallel_for(
+      "wlnm_encode", util::hardware_threads(),
+      static_cast<std::int64_t>(links.size()), [&](std::int64_t i) {
+        const auto sub =
+            graph::extract_enclosing_subgraph(g, links[i].a, links[i].b, eo);
+        const auto enc = wlnm_encode(sub, options_.vertex_budget,
+                                     options_.wl_iterations);
+        std::copy(enc.begin(), enc.end(), x.begin() + i * input_dim_);
+      });
   return x;
 }
 

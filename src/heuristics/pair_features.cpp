@@ -6,6 +6,7 @@
 #include "graph/traversal.h"
 #include "heuristics/katz.h"
 #include "heuristics/local_scores.h"
+#include "util/worker_pool.h"
 
 namespace amdgcnn::heuristics {
 
@@ -45,11 +46,13 @@ std::vector<double> pair_feature_matrix(
     const std::vector<std::pair<graph::NodeId, graph::NodeId>>& pairs) {
   const std::size_t dims = pair_feature_names().size();
   std::vector<double> x(pairs.size() * dims);
-#pragma omp parallel for schedule(dynamic)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(pairs.size()); ++i) {
-    const auto f = pair_features(g, pairs[i].first, pairs[i].second);
-    std::copy(f.begin(), f.end(), x.begin() + i * static_cast<std::int64_t>(dims));
-  }
+  util::parallel_for(
+      "pair_feature_matrix", util::hardware_threads(),
+      static_cast<std::int64_t>(pairs.size()), [&](std::int64_t i) {
+        const auto f = pair_features(g, pairs[i].first, pairs[i].second);
+        std::copy(f.begin(), f.end(),
+                  x.begin() + i * static_cast<std::int64_t>(dims));
+      });
   return x;
 }
 

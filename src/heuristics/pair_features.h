@@ -22,7 +22,9 @@ const std::vector<std::string>& pair_feature_names();
 std::vector<double> pair_features(const graph::KnowledgeGraph& g,
                                   graph::NodeId u, graph::NodeId v);
 
-/// Row-major feature matrix for many pairs (OpenMP-parallel).
+/// Row-major feature matrix for many pairs, computed on every hardware
+/// thread.  A failing pair (e.g. a node out of range) surfaces as
+/// util::WorkerError naming the lowest failing pair index.
 std::vector<double> pair_feature_matrix(
     const graph::KnowledgeGraph& g,
     const std::vector<std::pair<graph::NodeId, graph::NodeId>>& pairs);

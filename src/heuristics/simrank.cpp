@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "util/worker_pool.h"
+
 namespace amdgcnn::heuristics {
 
 std::vector<double> simrank(const graph::KnowledgeGraph& g,
@@ -16,8 +18,8 @@ std::vector<double> simrank(const graph::KnowledgeGraph& g,
   for (std::size_t v = 0; v < un; ++v) sim[v * un + v] = 1.0;
 
   for (std::int32_t it = 0; it < options.iterations; ++it) {
-#pragma omp parallel for schedule(dynamic)
-    for (std::int64_t u = 0; u < n; ++u) {
+    util::parallel_for("simrank", util::hardware_threads(), n,
+                       [&](std::int64_t u) {
       for (std::int64_t v = u; v < n; ++v) {
         if (u == v) {
           next[static_cast<std::size_t>(u) * un + u] = 1.0;
@@ -39,7 +41,7 @@ std::vector<double> simrank(const graph::KnowledgeGraph& g,
         next[static_cast<std::size_t>(v) * un + static_cast<std::size_t>(u)] =
             s;
       }
-    }
+    });
     std::swap(sim, next);
   }
   return sim;

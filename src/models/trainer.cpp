@@ -5,8 +5,8 @@
 #include <stdexcept>
 
 #include "tensor/ops.h"
-#include "util/parallel_error.h"
 #include "util/stopwatch.h"
+#include "util/worker_pool.h"
 
 namespace amdgcnn::models {
 
@@ -105,7 +105,6 @@ double Trainer::train_epoch_parallel_impl(
 
   double total_loss = 0.0;
   std::size_t i = 0;
-  [[maybe_unused]] const int nt = static_cast<int>(config_.num_threads);
   while (i < order.size()) {
     const std::size_t batch_end = std::min(
         order.size(), i + static_cast<std::size_t>(config_.batch_size));
@@ -124,33 +123,25 @@ double Trainer::train_epoch_parallel_impl(
             ag::detail::new_zeroed_t<T>(static_cast<std::size_t>(p.numel())));
     }
     std::vector<double> losses(bs, 0.0);
-    util::WorkerErrorCollector error;
-
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) num_threads(nt)
-#endif
-    for (std::int64_t b = 0; b < static_cast<std::int64_t>(bs); ++b) {
-      try {
-        const std::size_t k = i + static_cast<std::size_t>(b);
-        // Leaf gradients of this sample's backward pass land in sinks[b];
-        // interior nodes are sample-private, so workers never write shared
-        // state.  The per-sample RNG depends only on the sample's position.
-        ag::GradSinkScope scope(slot_of_, sinks[b]);
-        util::Rng sample_rng(
-            mix_seed(epoch_seed, static_cast<std::uint64_t>(k)));
-        const auto& sample = samples[order[k]];
-        auto logits = model_.forward(sample, sample_rng);
-        auto loss = ag::ops::cross_entropy(
-            logits, {static_cast<std::int64_t>(sample.label)});
-        losses[b] = loss.item();
-        auto scaled = ag::ops::mul_scalar(loss, inv_batch);
-        scaled.backward();
-        ag::release_graph(scaled);
-      } catch (...) {
-        error.capture(b);
-      }
-    }
-    error.rethrow("train_epoch");
+    util::parallel_for(
+        "train_epoch", config_.num_threads, static_cast<std::int64_t>(bs),
+        [&](std::int64_t b) {
+          const std::size_t k = i + static_cast<std::size_t>(b);
+          // Leaf gradients of this sample's backward pass land in sinks[b];
+          // interior nodes are sample-private, so workers never write shared
+          // state.  The per-sample RNG depends only on the sample's position.
+          ag::GradSinkScope scope(slot_of_, sinks[b]);
+          util::Rng sample_rng(
+              mix_seed(epoch_seed, static_cast<std::uint64_t>(k)));
+          const auto& sample = samples[order[k]];
+          auto logits = model_.forward(sample, sample_rng);
+          auto loss = ag::ops::cross_entropy(
+              logits, {static_cast<std::int64_t>(sample.label)});
+          losses[b] = loss.item();
+          auto scaled = ag::ops::mul_scalar(loss, inv_batch);
+          scaled.backward();
+          ag::release_graph(scaled);
+        });
 
     // Reduce in sample order — deterministic for any worker count, since
     // each sink's contents depend only on its sample.

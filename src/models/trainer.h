@@ -32,11 +32,10 @@ struct TrainConfig {
   ag::Dtype dtype = ag::Dtype::f64;
   /// Batch-accumulation workers.  0 = the legacy serial path (bit-identical
   /// to pre-threading builds, used by the seeded regression tests).  >= 1 =
-  /// the data-parallel path: samples of a batch run concurrently on up to
-  /// this many OpenMP threads, each accumulating into private per-sample
-  /// gradient buffers that are reduced in sample order before the Adam step,
-  /// so results are bit-identical for ANY worker count (1 == N).  Without
-  /// OpenMP the parallel path runs serially and produces the same numbers.
+  /// the data-parallel path: samples of a batch run concurrently on this
+  /// many util::parallel_for workers, each accumulating into private
+  /// per-sample gradient buffers that are reduced in sample order before the
+  /// Adam step, so results are bit-identical for ANY worker count (1 == N).
   std::int64_t num_threads = 0;
 };
 

@@ -2,11 +2,7 @@
 
 #include <stdexcept>
 
-#include "util/parallel_error.h"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
+#include "util/worker_pool.h"
 
 namespace amdgcnn::seal {
 
@@ -19,13 +15,7 @@ double SealDataset::mean_subgraph_nodes() const {
   return sum / static_cast<double>(total);
 }
 
-std::int64_t default_build_threads() {
-#ifdef _OPENMP
-  return omp_get_max_threads();
-#else
-  return 1;
-#endif
-}
+std::int64_t default_build_threads() { return util::hardware_threads(); }
 
 SubgraphSample make_sample(const graph::KnowledgeGraph& g,
                            const LinkExample& link,
@@ -41,35 +31,16 @@ std::vector<SubgraphSample> build_samples(
   if (options.num_threads < 0)
     throw std::invalid_argument("build_samples: num_threads must be >= 0");
   std::vector<SubgraphSample> out(links.size());
-  const auto n = static_cast<std::int64_t>(links.size());
-
-  if (options.num_threads == 0) {
-    for (std::int64_t i = 0; i < n; ++i)
-      out[i] = make_sample(g, links[i], options);
-    return out;
-  }
-
-  // Deterministic parallel path (same pattern as Trainer::train_epoch_parallel):
-  // links are distributed dynamically, but each sample lands in its pre-sized
-  // slot and depends only on its link, so the result is bit-identical for any
-  // worker count.  Per-worker BFS scratch lives in thread-local pools inside
-  // extract_enclosing_subgraph; feature tensors allocate from each worker's
-  // own tensor pool.  Exceptions cannot cross the OpenMP region; the failure
-  // of the lowest link index is rethrown after the join with stage context
-  // (util::WorkerError), deterministically for any worker count.
-  [[maybe_unused]] const int nt = static_cast<int>(options.num_threads);
-  util::WorkerErrorCollector error;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) num_threads(nt)
-#endif
-  for (std::int64_t i = 0; i < n; ++i) {
-    try {
-      out[i] = make_sample(g, links[i], options);
-    } catch (...) {
-      error.capture(i);
-    }
-  }
-  error.rethrow("build_samples");
+  // Links are claimed dynamically, but each sample lands in its pre-sized
+  // slot and depends only on its link, so the result is bit-identical for
+  // any worker count.  Per-worker BFS scratch lives in thread-local pools
+  // inside extract_enclosing_subgraph; feature tensors allocate from each
+  // worker's own tensor pool.
+  util::parallel_for("build_samples", options.num_threads,
+                     static_cast<std::int64_t>(links.size()),
+                     [&](std::int64_t i) {
+                       out[i] = make_sample(g, links[i], options);
+                     });
   return out;
 }
 

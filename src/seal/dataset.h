@@ -5,8 +5,8 @@
 // models under comparison — matching the reference pipeline, where subgraph
 // extraction happens in the dataset loader, not in the training loop.
 //
-// Per-link work is independent, so the build is parallelised with the same
-// deterministic OpenMP pattern as models::Trainer (DESIGN.md §2.2): every
+// Per-link work is independent, so the build runs on util::parallel_for with
+// the same deterministic pattern as models::Trainer (DESIGN.md §2.2): every
 // sample is written into its pre-sized slot, each worker draws extraction
 // scratch from its own thread-local buffer pool, and no stage depends on
 // worker scheduling — the built dataset is bit-identical for ANY worker
@@ -27,11 +27,10 @@ struct SealDatasetOptions {
   graph::ExtractOptions extract;
   FeatureOptions features;
   /// Dataset-build workers (mirrors models::TrainConfig::num_threads).
-  /// 0 = the legacy serial loop; >= 1 = the OpenMP path, links distributed
-  /// dynamically over up to this many threads.  Outputs are bit-identical
-  /// (tensor bytes, labels, DRNL vectors) for every setting; negative
-  /// values are rejected.  Without OpenMP the parallel path runs serially
-  /// and produces the same bytes.
+  /// 0 = the legacy serial loop; >= 1 = util::parallel_for, links claimed
+  /// dynamically by this many workers.  Outputs are bit-identical (tensor
+  /// bytes, labels, DRNL vectors) for every setting; negative values are
+  /// rejected.
   std::int64_t num_threads = 0;
 };
 
@@ -47,7 +46,7 @@ struct SealDataset {
 };
 
 /// Worker count for callers that just want "all hardware threads":
-/// omp_get_max_threads() under OpenMP, 1 otherwise.
+/// util::hardware_threads().
 std::int64_t default_build_threads();
 
 /// Convert one labeled link to a sample.

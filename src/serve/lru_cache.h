@@ -1,9 +1,8 @@
 // Minimal intrusive LRU map for the serving caches (DESIGN.md §2.8).
 //
-// The PR 7 score cache wipes wholesale when full — deterministic and fine
-// for one steady workload that re-fills it in a pass, but a serving process
-// juggling many endpoints wants the hot set to survive admission of the
-// cold tail.  This is the classic list + hash-map LRU: find() refreshes
+// A serving process juggling many endpoints wants the hot set to survive
+// admission of the cold tail, so the caches evict by recency instead of
+// wiping when full.  This is the classic list + hash-map LRU: find() refreshes
 // recency, insert() evicts from the cold end once past capacity.  Eviction
 // order depends on access order and therefore on scheduling when several
 // workers share a cache — that only ever costs a future miss, never bytes

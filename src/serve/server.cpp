@@ -14,8 +14,8 @@ namespace amdgcnn::serve {
 
 namespace {
 
-/// Ordered (a, b) packed into one word — the same keying as the PR 7 score
-/// cache (extraction is direction-sensitive: local id 0 is always a).
+/// Ordered (a, b) packed into one word (extraction is direction-sensitive:
+/// local id 0 is always a).
 std::uint64_t pair_key(graph::NodeId a, graph::NodeId b) {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32) |
          static_cast<std::uint64_t>(static_cast<std::uint32_t>(b));
@@ -79,7 +79,7 @@ Server::Server(const core::LinkPredictor& predictor,
       graph_(graph),
       options_(options),
       impl_(std::make_unique<Impl>(options_)),
-      pool_(std::make_unique<WorkerPool>(options_.num_workers)) {
+      pool_(std::make_unique<util::WorkerPool>(options_.num_workers)) {
   if (options_.queue_capacity < 1)
     throw ServeError("Server: queue_capacity must be >= 1");
   const auto& po = predictor_.options();
@@ -281,7 +281,7 @@ core::LinkPredictions Server::process(
       impl_->frontiers.insert(key, std::move(entry));
     };
 
-    const WorkerPool::WorkFn fn = [&](std::int64_t gi, int w) {
+    const util::WorkerPool::WorkFn fn = [&](std::int64_t gi, int w) {
       auto& worker = *impl_->workers[static_cast<std::size_t>(w)];
       seal::NodeRowCache* row_cache =
           options_.reuse_feature_rows ? &worker.rows : nullptr;

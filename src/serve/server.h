@@ -6,14 +6,16 @@
 // SEAL's per-link subgraph cost dominates: requests flow through a bounded
 // submission queue into a dispatcher thread, which plans each batch
 // serially (dedup + score-cache probe + endpoint grouping), fans the cache
-// misses out over a persistent WorkerPool — every worker owns a warm
-// inference arena, its own node-row cache and the thread-local extraction
-// scratch that survives across requests — and assembles results in input
-// order.  Three cache layers amortise repeated work across queries:
+// misses out over a persistent util::WorkerPool with itself as worker 0 —
+// every worker owns a warm inference arena, its own node-row cache and the
+// thread-local extraction scratch that survives across requests — and
+// assembles results in input order.  Three cache layers amortise repeated
+// work across queries:
 //
 //   1. score LRU    — (a, b) -> probability row, validated against the
-//                     hop-hull node generations exactly like the PR 7
-//                     predictor cache: a hit is bit-identical to recompute.
+//                     hop-hull node generations (DESIGN.md §2.5): a hit is
+//                     bit-identical to recompute.  This is the project's one
+//                     score cache; score_batch() reaches it synchronously.
 //   2. endpoint LRU — endpoint -> hop-bounded BFS frontier (nodes + dists),
 //                     hull-validated the same way; hits are seeded into the
 //                     claiming worker's per-thread frontier cache so the
@@ -47,13 +49,18 @@
 #include <vector>
 
 #include "core/link_predictor.h"
-#include "serve/worker_pool.h"
+#include "util/worker_pool.h"
 
 namespace amdgcnn::serve {
 
+/// Misuse of the serving runtime (submit after shutdown, invalid options):
+/// the pool's misuse error, so one type covers the Server and its pool.
+using ServeError = util::PoolError;
+
 struct ServerOptions {
-  /// Pool threads scoring cache misses.  Results are bit-identical for any
-  /// value (the worker index only selects scratch).
+  /// Pool workers scoring cache misses, the dispatcher thread included.
+  /// Results are bit-identical for any value (the worker index only selects
+  /// scratch).
   int num_workers = 1;
   /// Pending-request cap; submit() blocks once the queue is full.
   std::size_t queue_capacity = 16;
@@ -130,7 +137,7 @@ class Server {
   const graph::KnowledgeGraph& graph_;
   ServerOptions options_;
   std::unique_ptr<Impl> impl_;
-  std::unique_ptr<WorkerPool> pool_;
+  std::unique_ptr<util::WorkerPool> pool_;
 
   mutable std::mutex queue_mu_;
   std::condition_variable not_empty_;

@@ -135,8 +135,8 @@ inline void mm_add(const T* __restrict__ A, const T* __restrict__ B,
 /// the accumulation becomes the same unit-stride outer-product loop as
 /// mm_add: dA[i,:] += G[i,j] · Bt[j,:].  The dot-product formulation this
 /// replaces could not vectorise (serial FP reduction chains) and dominated
-/// the backward pass.  thread_local keeps the scratch safe under the OpenMP
-/// trainer without touching the tensor buffer pool from a header.
+/// the backward pass.  thread_local keeps the scratch safe under the
+/// parallel trainer without touching the tensor buffer pool from a header.
 template <typename T>
 inline void mm_abt_add(const T* __restrict__ G, const T* __restrict__ B,
                        T* __restrict__ dA, std::int64_t n, std::int64_t k,

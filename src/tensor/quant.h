@@ -13,7 +13,7 @@
 // before its kernel runs (resident weights stay quantized; the arena holds
 // one decoded tensor at a time inside a mark/rewind scope).  All arithmetic
 // accumulates at f32-or-wider in a fixed order, so each quantized mode is
-// bit-deterministic across OpenMP worker counts — the same contract the
+// bit-deterministic across worker counts — the same contract the
 // exact f32/f64 paths carry (the modes differ from each other and from f32,
 // but never from themselves).
 #pragma once

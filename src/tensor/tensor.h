@@ -22,8 +22,8 @@
 // through a thread-local BufferPool when its tape node dies, so steady-state
 // training performs almost no heap allocation.  Training code can optionally
 // redirect leaf-gradient accumulation into private per-sample buffers via
-// GradSinkScope, which is what makes the Trainer's OpenMP data-parallel
-// batch accumulation deterministic.
+// GradSinkScope, which is what makes the Trainer's data-parallel batch
+// accumulation deterministic.
 #pragma once
 
 #include <algorithm>

@@ -1,11 +1,8 @@
-// Deterministic exception funnel for OpenMP worker loops.
+// Deterministic exception funnel for parallel loops (util::WorkerPool).
 //
-// C++ exceptions cannot cross an `#pragma omp parallel for` region, so every
-// parallel stage (dataset build, batched inference, training batches) wraps
-// its body in try/catch and rethrows after the join.  A bare
-// `if (!error) error = current_exception()` keeps whichever worker LOST the
-// race — a different exception per run when several items fail.  The
-// collector instead keeps the exception of the lowest failing iteration
+// A bare `if (!error) error = current_exception()` keeps whichever worker
+// LOST the race — a different exception per run when several items fail.
+// The collector instead keeps the exception of the lowest failing item
 // index and rethrows it wrapped with stage context, so a failing batch
 // reports the same item and message on every run and any worker count.
 #pragma once

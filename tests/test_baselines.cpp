@@ -4,12 +4,15 @@
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "baselines/decision_tree.h"
 #include "baselines/logistic_regression.h"
 #include "baselines/wlnm.h"
 #include "heuristics/pair_features.h"
 #include "test_util.h"
+#include "util/parallel_error.h"
 
 namespace amdgcnn {
 namespace {
@@ -56,6 +59,24 @@ TEST(PairFeatures, MatrixMatchesPerPairExtraction) {
     const auto f =
         heuristics::pair_features(g, pairs[i].first, pairs[i].second);
     for (std::size_t c = 0; c < d; ++c) EXPECT_EQ(x[i * d + c], f[c]);
+  }
+}
+
+// A bad pair inside the parallel matrix build is reported, not fatal: the
+// join rethrows util::WorkerError naming the lowest failing pair.
+TEST(PairFeatures, MatrixOutOfRangeNodeIsWorkerError) {
+  auto g = testing::path_graph(6);
+  const std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs = {
+      {0, 2}, {1, 4}, {3, 99}, {2, 5}, {77, 1}};
+  try {
+    heuristics::pair_feature_matrix(g, pairs);
+    FAIL() << "expected util::WorkerError";
+  } catch (const util::WorkerError& e) {
+    EXPECT_EQ(e.item(), 2);
+    EXPECT_NE(std::string(e.what()).find("pair_feature_matrix: worker failed "
+                                         "at item 2"),
+              std::string::npos)
+        << e.what();
   }
 }
 
@@ -281,6 +302,32 @@ TEST(WlnmModel, LearnsTopologicalClassOnToyTask) {
   baselines::Wlnm model(2, opts);
   model.fit(g, links);
   EXPECT_GT(model.evaluate_auc(g, links), 0.9);
+}
+
+// A self-pair link cannot be encoded (extraction requires a != b); the
+// parallel encoder reports the lowest failing link instead of aborting.
+TEST(WlnmModel, SelfPairLinkIsWorkerError) {
+  auto g = testing::path_graph(6);
+  const std::vector<seal::LinkExample> links = {
+      {0, 2, 0}, {1, 4, 1}, {3, 3, 0}, {2, 5, 1}, {4, 4, 1}};
+  baselines::Wlnm model(2);
+  try {
+    model.fit(g, links);
+    FAIL() << "expected util::WorkerError";
+  } catch (const util::WorkerError& e) {
+    EXPECT_EQ(e.item(), 2);
+    EXPECT_NE(std::string(e.what()).find("wlnm_encode: worker failed at "
+                                         "item 2"),
+              std::string::npos)
+        << e.what();
+    bool nested_is_original = false;
+    try {
+      std::rethrow_if_nested(e);
+    } catch (const std::invalid_argument&) {
+      nested_is_original = true;  // extract_enclosing_subgraph: a == b
+    }
+    EXPECT_TRUE(nested_is_original);
+  }
 }
 
 TEST(WlnmModel, ValidatesUsage) {

@@ -11,9 +11,10 @@
 //   (2) Overlay/compaction identity — adjacency, DRNL labels and extracted
 //       samples are invariant to WHEN compact() runs along an update
 //       sequence.
-//   (3) Cache coherence — with cache_scores on, predict_links output is
-//       bitwise equal to the cold path under randomized interleavings of
-//       mutations, queries, compactions and cache clears.
+//   (3) Cache coherence — scores served through serve::Server (whose
+//       hull-validated LRU is the one score cache) are bitwise equal to cold
+//       predict_links under randomized interleavings of mutations, queries
+//       and compactions.
 //
 // Plus the negative-path pack (typed GraphUpdateError for every mutation
 // precondition) and thread-invariance of build_samples / predict_links over
@@ -37,6 +38,7 @@
 #include "graph/subgraph.h"
 #include "seal/dataset.h"
 #include "seal/drnl.h"
+#include "serve/server.h"
 #include "test_util.h"
 #include "util/parallel_error.h"
 
@@ -321,11 +323,10 @@ struct ServingFixture {
     clf->fit(data.graph, data.train_links, data.num_classes);
   }
 
-  core::LinkPredictor predictor(bool cache, std::int64_t threads = 0) const {
+  core::LinkPredictor predictor(std::int64_t threads = 0) const {
     core::LinkPredictor::Options po;
     po.dataset = cfg.dataset;
     po.dataset.num_threads = threads;
-    po.cache_scores = cache;
     return core::LinkPredictor(clf->model(), po);
   }
 };
@@ -345,15 +346,15 @@ void expect_proba_bitwise_equal(const core::LinkPredictions& got,
 TEST(DynamicGraphCache, CachedScoresAlwaysEqualColdPath) {
   ServingFixture fx;
   auto g = fx.data.graph;  // mutable serving copy
-  const auto cached = fx.predictor(/*cache=*/true);
-  const auto cold = fx.predictor(/*cache=*/false);
+  const auto predictor = fx.predictor();
+  serve::Server server(predictor, g);
 
   util::Rng rng(4242);
   const auto n = static_cast<std::uint64_t>(g.num_nodes());
   for (int step = 0; step < 200; ++step) {
-    // Random interleaving: 0-2 mutations, sometimes a compaction or a cache
-    // wipe, then a small randomized query batch (overlapping batches drive
-    // the hit path; mutations drive invalidation).
+    // Random interleaving: 0-2 mutations, sometimes a compaction, then a
+    // small randomized query batch (overlapping batches drive the hit path;
+    // mutations drive invalidation).
     const auto muts = rng.uniform_int(3);
     for (std::uint64_t k = 0; k < muts; ++k) {
       const auto a = static_cast<graph::NodeId>(rng.uniform_int(n));
@@ -371,42 +372,44 @@ TEST(DynamicGraphCache, CachedScoresAlwaysEqualColdPath) {
       }
     }
     if (step % 17 == 5) g.compact();
-    if (step % 41 == 7) cached.clear_cache();
 
     const auto links =
         random_links(g, 6, fx.data.num_classes,
                      /*seed=*/1000 + static_cast<std::uint64_t>(step) % 5);
-    expect_proba_bitwise_equal(cached.predict_links(g, links),
-                               cold.predict_links(g, links),
+    expect_proba_bitwise_equal(server.score_batch(links),
+                               predictor.predict_links(g, links),
                                "step " + std::to_string(step));
   }
   // The interleaving must have exercised all three cache paths, or the
   // property above proved nothing.
-  EXPECT_GT(cached.cache_stats().hits, 0);
-  EXPECT_GT(cached.cache_stats().misses, 0);
-  EXPECT_GT(cached.cache_stats().invalidated, 0);
+  const auto s = server.stats();
+  EXPECT_GT(s.score_hits, 0);
+  EXPECT_GT(s.score_misses, 0);
+  EXPECT_GT(s.score_invalidated, 0);
 }
 
 TEST(DynamicGraphCache, RepeatQueryHitsWithoutMutationAndMissesAfterTouch) {
   ServingFixture fx;
   auto g = fx.data.graph;
-  const auto cached = fx.predictor(/*cache=*/true);
+  const auto predictor = fx.predictor();
+  serve::Server server(predictor, g);
   const auto links = random_links(g, 5, fx.data.num_classes, 7);
 
-  const auto first = cached.predict_links(g, links);
-  EXPECT_EQ(cached.cache_stats().hits, 0);
-  EXPECT_EQ(cached.cache_stats().misses, 5);
+  const auto first = server.score_batch(links);
+  expect_proba_bitwise_equal(first, predictor.predict_links(g, links), "cold");
+  EXPECT_EQ(server.stats().score_hits, 0);
+  EXPECT_EQ(server.stats().score_misses, 5);
 
   // No mutation: pure hits, bit-identical.
-  const auto second = cached.predict_links(g, links);
+  const auto second = server.score_batch(links);
   expect_proba_bitwise_equal(second, first, "repeat");
-  EXPECT_EQ(cached.cache_stats().hits, 5);
+  EXPECT_EQ(server.stats().score_hits, 5);
 
   // compact() must not evict (generations are preserved).
   g.compact();
-  cached.predict_links(g, links);
-  EXPECT_EQ(cached.cache_stats().hits, 10);
-  EXPECT_EQ(cached.cache_stats().invalidated, 0);
+  server.score_batch(links);
+  EXPECT_EQ(server.stats().score_hits, 10);
+  EXPECT_EQ(server.stats().score_invalidated, 0);
 
   // Touching a queried endpoint invalidates the entries whose hull contains
   // it (links[0].a is in its own hull by construction).
@@ -419,49 +422,29 @@ TEST(DynamicGraphCache, RepeatQueryHitsWithoutMutationAndMissesAfterTouch) {
     }
   ASSERT_GE(other, 0);
   g.insert_edge(links[0].a, other, 0);
-  cached.predict_links(g, links);
-  EXPECT_GT(cached.cache_stats().invalidated, 0);
-}
-
-TEST(DynamicGraphCache, SwitchingServingGraphResetsEntries) {
-  ServingFixture fx;
-  auto g1 = fx.data.graph;
-  auto g2 = fx.data.graph;
-  const auto cached = fx.predictor(/*cache=*/true);
-  const auto links = random_links(g1, 4, fx.data.num_classes, 9);
-
-  cached.predict_links(g1, links);
-  EXPECT_EQ(cached.cache_size(), 4u);
-  // A different graph instance may have diverged: nothing cached applies.
-  cached.predict_links(g2, links);
-  EXPECT_EQ(cached.cache_stats().hits, 0);
+  expect_proba_bitwise_equal(server.score_batch(links),
+                             predictor.predict_links(g, links), "touched");
+  EXPECT_GT(server.stats().score_invalidated, 0);
 }
 
 // A poisoned link in a parallel serving batch surfaces as util::WorkerError
-// carrying the stage name and the lowest failing batch index — on both the
-// cold and the cached scoring path (a fresh predictor makes every link a
-// miss, so the cached path's item index equals the link index here).
+// carrying the stage name and the lowest failing batch index.
 TEST(DynamicGraphCache, PredictLinksWorkerFailureIsWorkerError) {
   ServingFixture fx;
   const auto& g = fx.data.graph;
   auto links = random_links(g, 8, fx.data.num_classes, 31);
   links[2].b = static_cast<graph::NodeId>(g.num_nodes() + 7);
 
-  for (const bool cache : {false, true}) {
-    const auto p = fx.predictor(cache, /*threads=*/4);
-    try {
-      p.predict_links(g, links);
-      FAIL() << "expected util::WorkerError (cache=" << cache << ")";
-    } catch (const util::WorkerError& e) {
-      EXPECT_EQ(e.item(), 2);
-      EXPECT_NE(std::string(e.what()).find("worker failed at item 2"),
-                std::string::npos)
-          << e.what();
-      EXPECT_NE(std::string(e.what()).find(cache ? "predict_links(cached)"
-                                                 : "predict_links"),
-                std::string::npos)
-          << e.what();
-    }
+  const auto p = fx.predictor(/*threads=*/4);
+  try {
+    p.predict_links(g, links);
+    FAIL() << "expected util::WorkerError";
+  } catch (const util::WorkerError& e) {
+    EXPECT_EQ(e.item(), 2);
+    EXPECT_NE(std::string(e.what()).find("predict_links: worker failed at "
+                                         "item 2"),
+              std::string::npos)
+        << e.what();
   }
 }
 
@@ -495,18 +478,13 @@ TEST(DynamicGraphThreads, PredictLinksBitIdenticalOverOverlayGraph) {
   ASSERT_GT(g.overlay_depth(), 0);
   const auto links = random_links(g, 20, fx.data.num_classes, 13);
 
-  for (const bool cache : {false, true}) {
-    const auto serial = fx.predictor(cache, 0).predict_links(g, links);
-    for (std::int64_t nt : {1, 4}) {
-      const auto predictor = fx.predictor(cache, nt);
-      // Two passes so the cached variant also serves its hit path under
-      // OpenMP scheduling.
-      predictor.predict_links(g, links);
-      expect_proba_bitwise_equal(
-          predictor.predict_links(g, links), serial,
-          (cache ? std::string("cache ") : std::string("cold ")) +
-              "num_threads=" + std::to_string(nt));
-    }
+  const auto serial = fx.predictor(0).predict_links(g, links);
+  for (std::int64_t nt : {1, 4}) {
+    const auto predictor = fx.predictor(nt);
+    // Two passes so the second replays frontiers from the workers' caches.
+    predictor.predict_links(g, links);
+    expect_proba_bitwise_equal(predictor.predict_links(g, links), serial,
+                               "num_threads=" + std::to_string(nt));
   }
 }
 

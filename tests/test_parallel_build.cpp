@@ -115,10 +115,10 @@ TEST(ParallelDatasetBuild, DefaultBuildThreadsIsPositive) {
 }
 
 // A poisoned link (endpoint past num_nodes) inside the parallel build must
-// not tear down the process — exceptions cannot cross the OpenMP join — and
-// must not race: the join rethrows util::WorkerError naming the stage and
-// the LOWEST failing link index with the original exception nested, the
-// same report for every worker count and schedule.
+// not tear down the process and must not race: the join rethrows
+// util::WorkerError naming the stage and the LOWEST failing link index with
+// the original exception nested, the same report for every worker count and
+// schedule.
 TEST(ParallelDatasetBuild, WorkerFailureIsDeterministicWorkerError) {
   const auto g = datasets::make_random_kg(random_kg_options(7));
   auto links = random_links(g, 24, /*num_classes=*/3, /*seed=*/17);

@@ -1,12 +1,20 @@
-// Tests for util:: (RNG, Table, Stopwatch).
+// Tests for util:: (RNG, Table, Stopwatch, parallel_for).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "util/parallel_error.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
+#include "util/worker_pool.h"
 
 namespace amdgcnn::util {
 namespace {
@@ -158,6 +166,87 @@ TEST(StopwatchTest, MeasuresElapsedTime) {
   ASSERT_GT(sink, 0.0);  // keep the loop observable
   EXPECT_GE(w.seconds(), t0);
   EXPECT_NEAR(w.millis(), w.seconds() * 1000.0, w.seconds() * 100.0 + 1.0);
+}
+
+// ---- parallel_for ------------------------------------------------------------
+
+TEST(ParallelFor, EveryItemRunsExactlyOnceForAnyThreadCount) {
+  constexpr std::int64_t kItems = 1000;
+  for (const std::int64_t threads : {1, 2, 4, 8}) {
+    std::vector<std::atomic<int>> runs(kItems);
+    parallel_for("test", threads, kItems, [&](std::int64_t i) {
+      runs[static_cast<std::size_t>(i)].fetch_add(1);
+    });
+    for (std::int64_t i = 0; i < kItems; ++i)
+      ASSERT_EQ(runs[static_cast<std::size_t>(i)].load(), 1)
+          << "threads=" << threads << " item " << i;
+  }
+}
+
+TEST(ParallelFor, SerialPathRethrowsTheRawException) {
+  EXPECT_THROW(parallel_for("test", 0, 10,
+                            [](std::int64_t i) {
+                              if (i == 3) throw std::out_of_range("raw");
+                            }),
+               std::out_of_range);
+  EXPECT_THROW(parallel_for("test", -1, 10, [](std::int64_t) {}),
+               std::invalid_argument);
+}
+
+TEST(ParallelFor, LowestFailingItemWinsForAnyThreadCount) {
+  for (const std::int64_t threads : {1, 2, 4, 8}) {
+    try {
+      parallel_for("stage", threads, 100, [](std::int64_t i) {
+        if (i == 17 || i == 42 || i == 99)
+          throw std::out_of_range("boom " + std::to_string(i));
+      });
+      FAIL() << "expected WorkerError (threads=" << threads << ")";
+    } catch (const WorkerError& e) {
+      EXPECT_EQ(e.item(), 17) << "threads=" << threads;
+      EXPECT_NE(std::string(e.what()).find(
+                    "stage: worker failed at item 17: boom 17"),
+                std::string::npos)
+          << e.what();
+      EXPECT_THROW(std::rethrow_if_nested(e), std::out_of_range);
+    }
+  }
+}
+
+TEST(ParallelFor, NestedCallFromAWorkerRunsInline) {
+  constexpr std::int64_t kOuter = 8, kInner = 16;
+  std::vector<std::atomic<int>> runs(kOuter * kInner);
+  std::atomic<bool> same_thread{true};
+  parallel_for("outer", 4, kOuter, [&](std::int64_t i) {
+    const auto self = std::this_thread::get_id();
+    parallel_for("inner", 4, kInner, [&](std::int64_t j) {
+      if (std::this_thread::get_id() != self) same_thread = false;
+      runs[static_cast<std::size_t>(i * kInner + j)].fetch_add(1);
+    });
+  });
+  EXPECT_TRUE(same_thread);
+  for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
+}
+
+TEST(ParallelFor, ConcurrentCallersBothGetCorrectResults) {
+  constexpr std::int64_t kItems = 500;
+  const auto caller = [](std::int64_t seed, bool& ok) {
+    ok = true;
+    std::vector<std::int64_t> out;
+    for (std::int64_t rep = 0; rep < 50; ++rep) {
+      out.assign(kItems, -1);
+      parallel_for("concurrent", 4, kItems,
+                   [&](std::int64_t i) { out[i] = seed * i + rep; });
+      for (std::int64_t i = 0; i < kItems; ++i)
+        if (out[i] != seed * i + rep) ok = false;
+    }
+  };
+  bool ok1 = false, ok2 = false;
+  std::thread t1(caller, 3, std::ref(ok1));
+  std::thread t2(caller, 7, std::ref(ok2));
+  t1.join();
+  t2.join();
+  EXPECT_TRUE(ok1);
+  EXPECT_TRUE(ok2);
 }
 
 }  // namespace

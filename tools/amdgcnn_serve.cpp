@@ -46,6 +46,7 @@
 #include "datasets/cora_sim.h"
 #include "datasets/primekg_sim.h"
 #include "datasets/wordnet_sim.h"
+#include "graph/subgraph.h"
 #include "models/serialize.h"
 #include "util/stopwatch.h"
 
@@ -342,11 +343,10 @@ int main(int argc, char** argv) {
                 << " row-hit=" << rate(s.row_hits, s.row_misses) << "\n";
       server->shutdown();
     } else {
-      const auto s = predictor.stats();
-      std::cerr << "amdgcnn_serve: predictor score-hit="
-                << rate(s.score.hits, s.score.misses) << " frontier-hit="
-                << rate(s.frontier_hits, s.frontier_misses)
-                << " arena peak " << predictor.arena_peak_bytes() << " B\n";
+      const auto f = graph::frontier_cache_stats();
+      std::cerr << "amdgcnn_serve: predictor frontier-hit="
+                << rate(f.hits, f.misses) << " arena peak "
+                << predictor.arena_peak_bytes() << " B\n";
     }
     return 0;
   } catch (const std::exception& e) {
