@@ -1,7 +1,7 @@
 // google-benchmark micro-benchmarks for the kernels the training loop lives
 // in: GAT vs GCN layer forward/backward (the paper's "without a significant
-// cost to computational latency" claim), subgraph extraction, DRNL, sort
-// pooling and the conv read-out head.
+// cost to computational latency" claim), the linear backward kernels,
+// subgraph extraction, DRNL, sort pooling and the conv read-out head.
 #include <benchmark/benchmark.h>
 
 #include "datasets/wordnet_sim.h"
@@ -12,6 +12,7 @@
 #include "seal/feature_builder.h"
 #include "tensor/conv_ops.h"
 #include "tensor/fwd_kernels.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/quant.h"
 
@@ -227,6 +228,39 @@ void BM_F32Matmul(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * kDim * m);
 }
 BENCHMARK(BM_F32Matmul)->Arg(16)->Arg(48)->Arg(128);
+
+template <typename T>
+void BM_LinearBackward(benchmark::State& state) {
+  // The three gradient kernels of a linear layer's backward (dA += G·Wᵀ,
+  // dW += Aᵀ·G, db += column sums of G) at [n,k]·[k,m]: the dense head's
+  // [1,256]·[256,128], where dA takes the few-row blocked-transpose path,
+  // and a GAT layer's [32,32]·[32,32], where it takes the 4-row path.
+  const std::int64_t n = state.range(0), k = state.range(1), m = state.range(2);
+  util::Rng rng(10);
+  auto values = [&rng](std::int64_t count) {
+    std::vector<T> v(static_cast<std::size_t>(count));
+    for (auto& x : v) x = static_cast<T>(rng.normal());
+    return v;
+  };
+  const auto a = values(n * k), w = values(k * m), g = values(n * m);
+  auto da = values(n * k), dw = values(k * m), db = values(m);
+  for (auto _ : state) {
+    ag::kern::mm_abt_add(g.data(), w.data(), da.data(), n, k, m);
+    ag::kern::mm_atb_add(a.data(), g.data(), dw.data(), n, k, m);
+    ag::kern::col_sum_add(g.data(), db.data(), n, m);
+    benchmark::DoNotOptimize(da.data());
+    benchmark::DoNotOptimize(dw.data());
+    benchmark::DoNotOptimize(db.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n * k * m);
+}
+BENCHMARK_TEMPLATE(BM_LinearBackward, float)
+    ->Args({1, 256, 128})
+    ->Args({32, 32, 32});
+BENCHMARK_TEMPLATE(BM_LinearBackward, double)
+    ->Args({1, 256, 128})
+    ->Args({32, 32, 32});
 
 void BM_TanhRow(benchmark::State& state) {
   // f32 tanh at the per-query activation volume of the tuned model

@@ -147,18 +147,21 @@ if [[ "${run_sanitize}" -eq 1 ]]; then
   # ThreadSanitizer pass over every suite that runs work on util::WorkerPool:
   # the serving runtime (pool lifecycle, queue, dispatcher), the dynamic and
   # infer suites (parallel predict_links and build_samples over mutating
-  # graphs), and the parallel dataset build, trainer and parallel_for cases.
+  # graphs), the parallel dataset build, trainer and parallel_for cases, and
+  # the dtype trainer cases (the f32 parallel trainer: per-worker sink
+  # zeroing, range-split reduction and Adam step).
   # -E: the bench smokes carry some of these labels too, but their wall-clock
   # floors are calibrated for an uninstrumented Release build.
   cmake -B "${tsan_dir}" -S "${repo_root}" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DAMDGCNN_SANITIZE=thread
   cmake --build "${tsan_dir}" -j --target amdgcnn_serve_tests \
-    amdgcnn_dynamic_tests amdgcnn_infer_tests amdgcnn_tests
+    amdgcnn_dynamic_tests amdgcnn_infer_tests amdgcnn_tests \
+    amdgcnn_dtype_tests
   for label in serve dynamic infer; do
     require_tests "${tsan_dir}" -L "${label}" -E bench_
     ctest --test-dir "${tsan_dir}" --output-on-failure -L "${label}" -E bench_
   done
-  parallel_tests='ParallelDatasetBuild|ParallelTrainer|ParallelFor'
+  parallel_tests='ParallelDatasetBuild|ParallelTrainer|ParallelFor|DtypeTrainer'
   require_tests "${tsan_dir}" -R "${parallel_tests}" -E bench_
   ctest --test-dir "${tsan_dir}" --output-on-failure -R "${parallel_tests}" \
     -E bench_

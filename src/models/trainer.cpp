@@ -1,5 +1,6 @@
 #include "models/trainer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
@@ -103,6 +104,20 @@ double Trainer::train_epoch_parallel_impl(
   rng_.shuffle(order);
   const std::uint64_t epoch_seed = rng_.next_u64();
 
+  // One private gradient sink (a buffer per parameter, at the parameter
+  // width) per batch slot, reused by every batch of the epoch; the worker
+  // that runs a sample zeroes its slot's sink first.
+  const std::size_t slots =
+      std::min(order.size(), static_cast<std::size_t>(config_.batch_size));
+  std::vector<std::vector<std::vector<T>>> sinks(slots);
+  for (auto& sink : sinks) {
+    sink.reserve(params_.size());
+    for (const auto& p : params_)
+      sink.emplace_back(static_cast<std::size_t>(p.numel()));
+  }
+  std::vector<double> losses(slots, 0.0);
+  std::vector<T*> grads(params_.size());
+
   double total_loss = 0.0;
   std::size_t i = 0;
   while (i < order.size()) {
@@ -110,19 +125,6 @@ double Trainer::train_epoch_parallel_impl(
         order.size(), i + static_cast<std::size_t>(config_.batch_size));
     const std::size_t bs = batch_end - i;
     const double inv_batch = 1.0 / static_cast<double>(bs);
-    optimizer_->zero_grad();
-
-    // Per-sample private gradient buffers (one per parameter) at the
-    // parameter width, acquired and released on this thread so the pool
-    // recycles them across batches.
-    std::vector<std::vector<std::vector<T>>> sinks(bs);
-    for (auto& sink : sinks) {
-      sink.reserve(params_.size());
-      for (const auto& p : params_)
-        sink.push_back(
-            ag::detail::new_zeroed_t<T>(static_cast<std::size_t>(p.numel())));
-    }
-    std::vector<double> losses(bs, 0.0);
     util::parallel_for(
         "train_epoch", config_.num_threads, static_cast<std::int64_t>(bs),
         [&](std::int64_t b) {
@@ -130,6 +132,7 @@ double Trainer::train_epoch_parallel_impl(
           // Leaf gradients of this sample's backward pass land in sinks[b];
           // interior nodes are sample-private, so workers never write shared
           // state.  The per-sample RNG depends only on the sample's position.
+          for (auto& s : sinks[b]) std::fill(s.begin(), s.end(), T{});
           ag::GradSinkScope scope(slot_of_, sinks[b]);
           util::Rng sample_rng(
               mix_seed(epoch_seed, static_cast<std::uint64_t>(k)));
@@ -143,19 +146,26 @@ double Trainer::train_epoch_parallel_impl(
           ag::release_graph(scaled);
         });
 
-    // Reduce in sample order — deterministic for any worker count, since
-    // each sink's contents depend only on its sample.
-    for (std::size_t b = 0; b < bs; ++b) {
-      for (std::size_t p = 0; p < params_.size(); ++p) {
-        auto& g = params_[p].grad_as<T>();
-        const auto& s = sinks[b][p];
-        for (std::size_t j = 0; j < s.size(); ++j) g[j] += s[j];
-        ag::detail::pool_of<T>().release(std::move(sinks[b][p]));
-      }
-      total_loss += losses[b];
-    }
+    // Reduce over element ranges, each element zeroed and then summed in
+    // sample order — the bytes of zero_grad() plus a serial reduction, for
+    // any worker count, since each sink's contents depend only on its
+    // sample.  Raw grad pointers are read here, before the split.
+    for (std::size_t p = 0; p < params_.size(); ++p)
+      grads[p] = params_[p].grad_as<T>().data();
+    ag::for_each_param_range(
+        "train_reduce", params_, config_.num_threads,
+        [&](std::size_t p, std::size_t lo, std::size_t hi) {
+          T* __restrict__ g = grads[p] + lo;
+          const std::size_t n = hi - lo;
+          std::fill(g, g + n, T{});
+          for (std::size_t b = 0; b < bs; ++b) {
+            const T* __restrict__ s = sinks[b][p].data() + lo;
+            for (std::size_t j = 0; j < n; ++j) g[j] += s[j];
+          }
+        });
+    for (std::size_t b = 0; b < bs; ++b) total_loss += losses[b];
     if (config_.grad_clip > 0.0) optimizer_->clip_grad_norm(config_.grad_clip);
-    optimizer_->step();
+    optimizer_->step(config_.num_threads);
     i = batch_end;
   }
   return total_loss / static_cast<double>(samples.size());

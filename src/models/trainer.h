@@ -33,9 +33,11 @@ struct TrainConfig {
   /// Batch-accumulation workers.  0 = the legacy serial path (bit-identical
   /// to pre-threading builds, used by the seeded regression tests).  >= 1 =
   /// the data-parallel path: samples of a batch run concurrently on this
-  /// many util::parallel_for workers, each accumulating into private
-  /// per-sample gradient buffers that are reduced in sample order before the
-  /// Adam step, so results are bit-identical for ANY worker count (1 == N).
+  /// many util::parallel_for workers, each zeroing and accumulating into a
+  /// private per-sample gradient sink; the same workers then reduce the
+  /// sinks over element ranges, each element in sample order, and run the
+  /// Adam step over element ranges, so results are bit-identical for ANY
+  /// worker count (1 == N).
   std::int64_t num_threads = 0;
 };
 

@@ -11,7 +11,8 @@
 //
 // Blocking factors target the model's shapes (tens of rows, 16..128
 // columns): 4 rows of A/C share one streamed row of B (mm_add, mm_atb_add);
-// mm_abt_add transposes B into an L1-resident scratch first so its
+// mm_abt_add transposes B into a scratch first (one L1-sized block at a time
+// when G has fewer than 4 rows) so its
 // accumulation runs over unit-stride rows too, instead of horizontal dot
 // products (an FP reduction is a serial dependency chain the compiler may
 // not reassociate, so the dot-product form never vectorises).  The
@@ -31,6 +32,7 @@
 // model's shapes).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -130,20 +132,78 @@ inline void mm_add(const T* __restrict__ A, const T* __restrict__ B,
   }
 }
 
+/// Thread-local transpose scratch of at least n elements for mm_abt_add.
+/// thread_local keeps it safe under the parallel trainer without touching
+/// the tensor buffer pool from a header; it only grows, so alternating
+/// shapes never re-zero it.
+template <typename T>
+inline T* abt_scratch(std::int64_t n) {
+  thread_local std::vector<T> buf;
+  if (buf.size() < static_cast<std::size_t>(n))
+    buf.resize(static_cast<std::size_t>(n));
+  return buf.data();
+}
+
+/// mm_abt_add for n < 4 rows — every [1,k] dense-head backward.  A whole
+/// transpose costs more than the product here (at [1,256]·[256,128] it
+/// writes 32768 elements at a stride of k), so B is transposed one block of
+/// Bt rows at a time, sized to stay in L1, and each block is used at once.
+/// Every element gets the same updates as on the 4-row path — d[p] +=
+/// v·bt[p] for ascending j, the accumulator kept in dA's memory — so a row
+/// gets the same bits as it would padded to 4 rows.  (The same sum with the
+/// accumulator in a local variable gives different bits under -O3
+/// -march=native, which would change training bytes.)
+template <typename T>
+inline void mm_abt_add_rows(const T* __restrict__ G, const T* __restrict__ B,
+                            T* __restrict__ dA, std::int64_t n,
+                            std::int64_t k, std::int64_t m) {
+  if (n == 0 || k == 0) return;
+  constexpr std::int64_t kBlockBytes = 16 * 1024;
+  const std::int64_t jb = std::max<std::int64_t>(
+      1, std::min<std::int64_t>(m, kBlockBytes / (k * std::int64_t{sizeof(T)})));
+  // The transpose fills one cache line of a Bt row per (j, W rows of B):
+  // with W a constant it compiles to one strided gather and one contiguous
+  // store, about 1.5x faster than a runtime-width inner loop.
+  constexpr std::int64_t W = 64 / static_cast<std::int64_t>(sizeof(T));
+  T* __restrict__ Bt = abt_scratch<T>(jb * k);
+  for (std::int64_t j0 = 0; j0 < m; j0 += jb) {
+    const std::int64_t nj = std::min(jb, m - j0);
+    std::int64_t p0 = 0;
+    for (; p0 + W <= k; p0 += W)
+      for (std::int64_t j = 0; j < nj; ++j)
+        for (std::int64_t x = 0; x < W; ++x)
+          Bt[j * k + p0 + x] = B[(p0 + x) * m + j0 + j];
+    for (std::int64_t p = p0; p < k; ++p)
+      for (std::int64_t j = 0; j < nj; ++j) Bt[j * k + p] = B[p * m + j0 + j];
+    for (std::int64_t i = 0; i < n; ++i) {
+      const T* g = G + i * m + j0;
+      T* d = dA + i * k;
+      for (std::int64_t j = 0; j < nj; ++j) {
+        const T* bt = Bt + j * k;
+        const T v = g[j];
+        for (std::int64_t p = 0; p < k; ++p) d[p] += v * bt[p];
+      }
+    }
+  }
+}
+
 /// dA[n,k] += G[n,m] · Bᵀ  with B stored as [k,m].  B is transposed into a
-/// thread-local scratch ([m,k], L1-resident at model shapes — a few KB) so
+/// thread-local scratch ([m,k]: 4 KB for a [32,32] GNN weight at f32) so
 /// the accumulation becomes the same unit-stride outer-product loop as
 /// mm_add: dA[i,:] += G[i,j] · Bt[j,:].  The dot-product formulation this
 /// replaces could not vectorise (serial FP reduction chains) and dominated
-/// the backward pass.  thread_local keeps the scratch safe under the
-/// parallel trainer without touching the tensor buffer pool from a header.
+/// the backward pass.  Fewer than 4 rows take mm_abt_add_rows: there the
+/// whole scratch would be written for one use of each element (128 KB at
+/// f32, 256 KB at f64 for the [256,128] dense-head weight).
 template <typename T>
 inline void mm_abt_add(const T* __restrict__ G, const T* __restrict__ B,
                        T* __restrict__ dA, std::int64_t n, std::int64_t k,
                        std::int64_t m) {
-  thread_local std::vector<T> bt_buf;
-  bt_buf.resize(static_cast<std::size_t>(k * m));
-  T* __restrict__ Bt = bt_buf.data();
+  if (n < 4) {
+    mm_abt_add_rows(G, B, dA, n, k, m);
+    return;
+  }
+  T* __restrict__ Bt = abt_scratch<T>(k * m);
   for (std::int64_t p = 0; p < k; ++p)
     for (std::int64_t j = 0; j < m; ++j) Bt[j * k + p] = B[p * m + j];
   std::int64_t i = 0;

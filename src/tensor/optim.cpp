@@ -1,6 +1,9 @@
 #include "tensor/optim.h"
 
+#include <algorithm>
 #include <cmath>
+
+#include "util/worker_pool.h"
 
 namespace amdgcnn::ag {
 
@@ -42,12 +45,9 @@ void grad_scale(Tensor& p, double scale) {
 }
 
 template <typename T>
-void sgd_step_param(Tensor& p, std::vector<double>& vel, double lr,
-                    double momentum, double weight_decay) {
-  T* __restrict__ data = p.data_as<T>().data();
-  const T* __restrict__ grad = p.grad_as<T>().data();
-  double* __restrict__ vp = vel.data();
-  const std::size_t n = static_cast<std::size_t>(p.numel());
+void sgd_update(T* __restrict__ data, const T* __restrict__ grad,
+                double* __restrict__ vp, std::size_t n, double lr,
+                double momentum, double weight_decay) {
   for (std::size_t j = 0; j < n; ++j) {
     const double g = static_cast<double>(grad[j]) +
                      weight_decay * static_cast<double>(data[j]);
@@ -57,17 +57,13 @@ void sgd_step_param(Tensor& p, std::vector<double>& vel, double lr,
 }
 
 template <typename T>
-void adam_step_param(Tensor& p, std::vector<double>& m, std::vector<double>& v,
-                     double lr, double beta1, double beta2, double eps,
-                     double weight_decay, double bc1, double bc2) {
+void adam_update(T* __restrict__ data, const T* __restrict__ grad,
+                 double* __restrict__ mp, double* __restrict__ vp,
+                 std::size_t n, double lr, double beta1, double beta2,
+                 double eps, double weight_decay, double bc1, double bc2) {
   // __restrict__ lets the per-element update vectorise (the sqrt/div chain
   // is the cost; packed sqrt and div are IEEE-exact, so results are
   // bit-identical to the scalar loop).
-  T* __restrict__ data = p.data_as<T>().data();
-  const T* __restrict__ grad = p.grad_as<T>().data();
-  double* __restrict__ mp = m.data();
-  double* __restrict__ vp = v.data();
-  const std::size_t n = static_cast<std::size_t>(p.numel());
   for (std::size_t j = 0; j < n; ++j) {
     const double g = static_cast<double>(grad[j]) +
                      weight_decay * static_cast<double>(data[j]);
@@ -80,13 +76,69 @@ void adam_step_param(Tensor& p, std::vector<double>& m, std::vector<double>& v,
   }
 }
 
+// Pieces per worker in for_each_param_range: a worker that joins a job late
+// still finds pieces left to claim.
+constexpr std::int64_t kPiecesPerWorker = 4;
+
 }  // namespace
+
+void for_each_param_range(
+    const char* stage, const std::vector<Tensor>& params, std::int64_t threads,
+    const std::function<void(std::size_t i, std::size_t lo, std::size_t hi)>&
+        fn) {
+  if (threads == 0) {
+    for (std::size_t i = 0; i < params.size(); ++i)
+      fn(i, 0, static_cast<std::size_t>(params[i].numel()));
+    return;
+  }
+  std::vector<std::size_t> offset(params.size() + 1, 0);
+  for (std::size_t i = 0; i < params.size(); ++i)
+    offset[i + 1] = offset[i] + static_cast<std::size_t>(params[i].numel());
+  const std::size_t total = offset.back();
+  const auto pieces = static_cast<std::size_t>(std::max<std::int64_t>(
+      1, std::min(threads * kPiecesPerWorker,
+                  static_cast<std::int64_t>(total))));
+  util::parallel_for(
+      stage, threads, static_cast<std::int64_t>(pieces), [&](std::int64_t c) {
+        const std::size_t a = total * static_cast<std::size_t>(c) / pieces;
+        const std::size_t b = total * static_cast<std::size_t>(c + 1) / pieces;
+        // The last parameter starting at or before a, then every one
+        // starting before b.
+        auto i = static_cast<std::size_t>(
+            std::upper_bound(offset.begin(), offset.end(), a) -
+            offset.begin() - 1);
+        for (; i < params.size() && offset[i] < b; ++i) {
+          const std::size_t lo = std::max(a, offset[i]) - offset[i];
+          const std::size_t hi = std::min(b, offset[i + 1]) - offset[i];
+          if (lo < hi) fn(i, lo, hi);
+        }
+      });
+}
 
 Optimizer::Optimizer(std::vector<Tensor> params) : params_(std::move(params)) {
   for (auto& p : params_) {
     check(p.defined(), "Optimizer: undefined parameter");
     check(p.requires_grad(), "Optimizer: parameter does not require grad");
   }
+}
+
+void Optimizer::step(std::int64_t threads) {
+  begin_step();
+  std::vector<RawParam> raw(params_.size());
+  for (std::size_t i = 0; i < params_.size(); ++i) {
+    if (params_[i].dtype() == Dtype::f32) {
+      raw[i].data_f = params_[i].data_as<float>().data();
+      raw[i].grad_f = params_[i].grad_as<float>().data();
+    } else {
+      raw[i].data = params_[i].data_as<double>().data();
+      raw[i].grad = params_[i].grad_as<double>().data();
+    }
+  }
+  for_each_param_range(
+      "optimizer_step", params_, threads,
+      [&](std::size_t i, std::size_t lo, std::size_t hi) {
+        update_range(raw[i], i, lo, hi);
+      });
 }
 
 void Optimizer::zero_grad() {
@@ -123,15 +175,15 @@ SGD::SGD(std::vector<Tensor> params, double lr_in, double momentum,
     velocity_[i].assign(static_cast<std::size_t>(params_[i].numel()), 0.0);
 }
 
-void SGD::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    if (params_[i].dtype() == Dtype::f32)
-      sgd_step_param<float>(params_[i], velocity_[i], lr, momentum_,
-                            weight_decay_);
-    else
-      sgd_step_param<double>(params_[i], velocity_[i], lr, momentum_,
-                             weight_decay_);
-  }
+void SGD::update_range(const RawParam& p, std::size_t i, std::size_t lo,
+                       std::size_t hi) {
+  double* vp = velocity_[i].data() + lo;
+  if (p.data_f != nullptr)
+    sgd_update(p.data_f + lo, p.grad_f + lo, vp, hi - lo, lr, momentum_,
+               weight_decay_);
+  else
+    sgd_update(p.data + lo, p.grad + lo, vp, hi - lo, lr, momentum_,
+               weight_decay_);
 }
 
 Adam::Adam(std::vector<Tensor> params, double lr_in, double beta1,
@@ -150,18 +202,22 @@ Adam::Adam(std::vector<Tensor> params, double lr_in, double beta1,
   }
 }
 
-void Adam::step() {
+void Adam::begin_step() {
   ++t_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    if (params_[i].dtype() == Dtype::f32)
-      adam_step_param<float>(params_[i], m_[i], v_[i], lr, beta1_, beta2_,
-                             eps_, weight_decay_, bc1, bc2);
-    else
-      adam_step_param<double>(params_[i], m_[i], v_[i], lr, beta1_, beta2_,
-                              eps_, weight_decay_, bc1, bc2);
-  }
+  bc1_ = 1.0 - std::pow(beta1_, static_cast<double>(t_));
+  bc2_ = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+}
+
+void Adam::update_range(const RawParam& p, std::size_t i, std::size_t lo,
+                        std::size_t hi) {
+  double* mp = m_[i].data() + lo;
+  double* vp = v_[i].data() + lo;
+  if (p.data_f != nullptr)
+    adam_update(p.data_f + lo, p.grad_f + lo, mp, vp, hi - lo, lr, beta1_,
+                beta2_, eps_, weight_decay_, bc1_, bc2_);
+  else
+    adam_update(p.data + lo, p.grad + lo, mp, vp, hi - lo, lr, beta1_, beta2_,
+                eps_, weight_decay_, bc1_, bc2_);
 }
 
 }  // namespace amdgcnn::ag

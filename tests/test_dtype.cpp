@@ -318,15 +318,16 @@ TEST(DtypeTrainer, RejectsModelTrainConfigDtypeMismatch) {
 }
 
 /// Epoch losses + final flat f32 parameters for a fresh seeded f32 model
-/// trained with the given worker count.
+/// trained with the given worker count and batch size.
 std::pair<std::vector<double>, std::vector<float>> train_f32_with_threads(
-    std::int64_t num_threads, int epochs) {
+    std::int64_t num_threads, int epochs, std::int64_t batch_size = 32) {
   util::Rng init(42);
   models::DGCNN model(toy_config(ag::Dtype::f32), init);
   models::TrainConfig tc;
   tc.learning_rate = 5e-3;
   tc.dtype = ag::Dtype::f32;
   tc.num_threads = num_threads;
+  tc.batch_size = batch_size;
   models::Trainer trainer(model, tc);
   auto train = toy_dataset();
   std::vector<double> losses;
@@ -339,14 +340,22 @@ std::pair<std::vector<double>, std::vector<float>> train_f32_with_threads(
 }
 
 TEST(DtypeTrainer, F32ParallelTrainingIsBitDeterministic) {
-  auto [losses1, params1] = train_f32_with_threads(1, 3);
-  auto [losses4, params4] = train_f32_with_threads(4, 3);
-  ASSERT_EQ(losses1.size(), losses4.size());
-  for (std::size_t e = 0; e < losses1.size(); ++e)
-    EXPECT_EQ(losses1[e], losses4[e]) << "epoch " << e;
-  ASSERT_EQ(params1.size(), params4.size());
-  for (std::size_t i = 0; i < params1.size(); ++i)
-    ASSERT_EQ(params1[i], params4[i]) << "parameter flat index " << i;
+  // Batch 7 leaves a short last batch and uneven worker splits of the
+  // batches and of the reduction and Adam element ranges.
+  for (std::int64_t batch : {32, 7}) {
+    auto [losses1, params1] = train_f32_with_threads(1, 3, batch);
+    for (std::int64_t threads : {2, 3, 4}) {
+      SCOPED_TRACE("batch " + std::to_string(batch) + ", " +
+                   std::to_string(threads) + " threads");
+      auto [losses, params] = train_f32_with_threads(threads, 3, batch);
+      ASSERT_EQ(losses1.size(), losses.size());
+      for (std::size_t e = 0; e < losses1.size(); ++e)
+        EXPECT_EQ(losses1[e], losses[e]) << "epoch " << e;
+      ASSERT_EQ(params1.size(), params.size());
+      for (std::size_t i = 0; i < params1.size(); ++i)
+        ASSERT_EQ(params1[i], params[i]) << "parameter flat index " << i;
+    }
+  }
 }
 
 // ---- exact f32 tanh kernel (fwd::tanh_inplace) --------------------------------

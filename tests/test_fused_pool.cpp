@@ -1,14 +1,18 @@
 // Tests for the tensor-engine hot-path machinery: fused linear/scatter ops
-// (forward equivalence + finite-difference gradients), buffer-pool recycling
+// (forward equivalence + finite-difference gradients), the few-row dA += G·Bᵀ
+// kernel path (bit parity with the 4-row path), buffer-pool recycling
 // correctness, and determinism of the parallel trainer path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "models/dgcnn.h"
 #include "models/trainer.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/segment_ops.h"
 #include "test_util.h"
@@ -129,6 +133,95 @@ TEST(FusedOpsGrad, MatmulBackwardHandlesZeroEntries) {
   for (Tensor* p : {&a, &b})
     amdgcnn::testing::expect_gradient_matches(
         *p, [&] { return ops::mean(ops::matmul(a, b)); });
+}
+
+// ---- dA += G·Bᵀ with fewer than 4 rows ---------------------------------------
+//
+// Rows 0..n-1 of an n-row call (n < 4, the blocked-transpose path) must carry
+// the same bits as the same rows of the call padded with zero rows to 4,
+// which runs the 4-row path.
+
+template <typename T>
+std::vector<T> random_values(std::size_t n, util::Rng& rng) {
+  std::vector<T> v(n);
+  for (auto& x : v) x = static_cast<T>(rng.normal());
+  return v;
+}
+
+template <typename T>
+void expect_abt_rows_match_padded(std::int64_t n, std::int64_t k,
+                                  std::int64_t m, util::Rng& rng) {
+  const auto g = random_values<T>(static_cast<std::size_t>(n * m), rng);
+  const auto b = random_values<T>(static_cast<std::size_t>(k * m), rng);
+  auto da = random_values<T>(static_cast<std::size_t>(n * k), rng);
+  std::vector<T> g4(g), da4(da);
+  g4.resize(static_cast<std::size_t>(4 * m), T{});
+  da4.resize(static_cast<std::size_t>(4 * k), T{});
+  kern::mm_abt_add(g.data(), b.data(), da.data(), n, k, m);
+  kern::mm_abt_add(g4.data(), b.data(), da4.data(), 4, k, m);
+  EXPECT_EQ(std::memcmp(da.data(), da4.data(), da.size() * sizeof(T)), 0)
+      << "n=" << n << " k=" << k << " m=" << m << " sizeof(T)=" << sizeof(T);
+}
+
+TEST(FusedKernels, AbtFewRowsMatchFourRowPathBitForBit) {
+  util::Rng rng(31);
+  for (std::int64_t n : {1, 2, 3})
+    for (std::int64_t k : {1, 7, 35, 256})
+      for (std::int64_t m : {1, 3, 32, 128}) {
+        expect_abt_rows_match_padded<float>(n, k, m, rng);
+        expect_abt_rows_match_padded<double>(n, k, m, rng);
+      }
+}
+
+/// Input gradient of `op` for a [1,256] row against [256,128] weights, and
+/// row 0 of the same gradient with the input padded by zero rows to [4,256].
+/// The loss weights each output by a fixed random row, so the upstream
+/// gradient of row 0 is the same in both calls.
+template <typename Op>
+void expect_dense_head_input_grad_matches_padded(Op op, Dtype dtype) {
+  util::Rng rng(32);
+  const std::int64_t k = 256, m = 128;
+  auto w = Tensor::randn({k, m}, rng, dtype);
+  auto bias = Tensor::randn({1, m}, rng, dtype);
+  const auto a_row = Tensor::randn({1, k}, rng, dtype).to_vec64();
+  const auto r_row = Tensor::randn({1, m}, rng, dtype).to_vec64();
+  auto input_grad = [&](std::int64_t rows) {
+    std::vector<double> a(a_row), r(r_row);
+    a.resize(static_cast<std::size_t>(rows * k), 0.0);
+    r.resize(static_cast<std::size_t>(rows * m), 0.0);
+    auto at = ops::cast(Tensor::from_data({rows, k}, std::move(a)), dtype)
+                  .detach()
+                  .requires_grad(true);
+    auto rt = ops::cast(Tensor::from_data({rows, m}, std::move(r)), dtype);
+    ops::sum(ops::mul(op(at, w, bias), rt)).backward();
+    std::vector<double> g;  // row 0, widened (exact for f32)
+    if (dtype == Dtype::f32)
+      g.assign(at.grad_f32().begin(), at.grad_f32().begin() + k);
+    else
+      g.assign(at.grad().begin(), at.grad().begin() + k);
+    return g;
+  };
+  const auto one = input_grad(1);
+  const auto padded = input_grad(4);
+  ASSERT_EQ(one.size(), padded.size());
+  EXPECT_EQ(std::memcmp(one.data(), padded.data(), one.size() * sizeof(double)),
+            0)
+      << dtype_name(dtype);
+}
+
+TEST(FusedOpsGrad, DenseHeadInputGradMatchesFourRowPathBitForBit) {
+  for (auto dtype : {Dtype::f32, Dtype::f64}) {
+    expect_dense_head_input_grad_matches_padded(
+        [](const Tensor& a, const Tensor& w, const Tensor& b) {
+          return ops::linear_relu(a, w, b);
+        },
+        dtype);
+    expect_dense_head_input_grad_matches_padded(
+        [](const Tensor& a, const Tensor& w, const Tensor& b) {
+          return ops::addmm(a, w, b);
+        },
+        dtype);
+  }
 }
 
 // ---- Buffer pool ------------------------------------------------------------
@@ -320,14 +413,16 @@ std::vector<seal::SubgraphSample> toy_dataset() {
 }
 
 /// Epoch losses + final flat parameter vector for a fresh seeded model
-/// trained with the given worker count.
+/// trained with the given worker count and batch size.
 std::pair<std::vector<double>, std::vector<double>> train_with_threads(
-    GnnKind kind, std::int64_t num_threads, int epochs) {
+    GnnKind kind, std::int64_t num_threads, int epochs,
+    std::int64_t batch_size = 32) {
   util::Rng init(42);
   DGCNN model(toy_config(kind), init);
   TrainConfig tc;
   tc.learning_rate = 5e-3;
   tc.num_threads = num_threads;
+  tc.batch_size = batch_size;
   Trainer trainer(model, tc);
   auto train = toy_dataset();
   std::vector<double> losses;
@@ -339,16 +434,24 @@ std::pair<std::vector<double>, std::vector<double>> train_with_threads(
 }
 
 TEST(ParallelTrainer, OneThreadAndManyThreadsAreBitIdentical) {
-  for (auto kind : {GnnKind::kAMDGCNN, GnnKind::kVanillaDGCNN}) {
-    auto [losses1, params1] = train_with_threads(kind, 1, 3);
-    auto [losses4, params4] = train_with_threads(kind, 4, 3);
-    ASSERT_EQ(losses1.size(), losses4.size());
-    for (std::size_t e = 0; e < losses1.size(); ++e)
-      EXPECT_EQ(losses1[e], losses4[e]) << "epoch " << e;
-    ASSERT_EQ(params1.size(), params4.size());
-    for (std::size_t i = 0; i < params1.size(); ++i)
-      ASSERT_EQ(params1[i], params4[i]) << "parameter flat index " << i;
-  }
+  // Batch 7 over the 30 toy samples leaves a short last batch, and neither
+  // the batches nor the parameter elements split evenly over 2, 3 or 4
+  // workers: the reduction and Adam ranges end mid-parameter.
+  for (auto kind : {GnnKind::kAMDGCNN, GnnKind::kVanillaDGCNN})
+    for (std::int64_t batch : {32, 7}) {
+      auto [losses1, params1] = train_with_threads(kind, 1, 3, batch);
+      for (std::int64_t threads : {2, 3, 4}) {
+        SCOPED_TRACE("batch " + std::to_string(batch) + ", " +
+                     std::to_string(threads) + " threads");
+        auto [losses, params] = train_with_threads(kind, threads, 3, batch);
+        ASSERT_EQ(losses1.size(), losses.size());
+        for (std::size_t e = 0; e < losses1.size(); ++e)
+          EXPECT_EQ(losses1[e], losses[e]) << "epoch " << e;
+        ASSERT_EQ(params1.size(), params.size());
+        for (std::size_t i = 0; i < params1.size(); ++i)
+          ASSERT_EQ(params1[i], params[i]) << "parameter flat index " << i;
+      }
+    }
 }
 
 TEST(ParallelTrainer, ParallelPathLearns) {
