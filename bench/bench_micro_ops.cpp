@@ -1,6 +1,8 @@
 // google-benchmark micro-benchmarks for the kernels the training loop lives
 // in: GAT vs GCN layer forward/backward (the paper's "without a significant
-// cost to computational latency" claim), the linear backward kernels,
+// cost to computational latency" claim), one GAT layer at the PrimeKG-sim
+// training shape with the stages of its shared forward kernel, the linear
+// backward kernels,
 // subgraph extraction, DRNL, sort pooling and the conv read-out head.
 #include <benchmark/benchmark.h>
 
@@ -87,6 +89,130 @@ BENCHMARK(BM_GATConvForwardBackward)
     ->Args({48, 0})
     ->Args({48, 18})
     ->Args({128, 18});
+
+/// One AM-DGCNN GAT layer at the PrimeKG-sim training shape: 32 nodes,
+/// 107 directed edges, 35 -> 32 features as 4 heads x 8, 2 edge attributes.
+template <typename T>
+struct GatFixture {
+  static constexpr std::int64_t kNodes = 32, kEdges = 107, kIn = 35;
+  static constexpr std::int64_t kHeads = 4, kHeadFeatures = 8, kEdgeDim = 2;
+  ag::Tensor x, edge_attr;
+  std::vector<std::int64_t> src, dst;
+
+  GatFixture() {
+    util::Rng rng(5);
+    x = ag::Tensor::randn({kNodes, kIn}, rng, ag::dtype_of_v<T>);
+    while (static_cast<std::int64_t>(src.size()) < kEdges) {
+      const auto a = rng.uniform_int(std::int64_t{0}, kNodes - 1);
+      const auto b = rng.uniform_int(std::int64_t{0}, kNodes - 1);
+      if (a == b) continue;
+      src.push_back(a);
+      dst.push_back(b);
+    }
+    edge_attr = ag::Tensor::randn({kEdges, kEdgeDim}, rng, ag::dtype_of_v<T>);
+  }
+};
+
+/// Forward + backward of one GAT layer (nn::GATConv -> ops::gat_conv).
+template <typename T>
+void BM_GatLayer(benchmark::State& state) {
+  using F = GatFixture<T>;
+  F fix;
+  util::Rng rng(6);
+  nn::GATConv layer(F::kIn, F::kHeadFeatures, F::kHeads, F::kEdgeDim, rng,
+                    0.2, ag::dtype_of_v<T>);
+  for (auto _ : state) {
+    auto out = layer.forward(fix.x, fix.src, fix.dst, fix.edge_attr, F::kNodes);
+    auto loss = ag::ops::mean(ag::ops::mul(out, out));
+    loss.backward();
+    benchmark::DoNotOptimize(loss.item());
+    for (auto p : layer.parameters()) p.zero_grad();
+  }
+}
+BENCHMARK_TEMPLATE(BM_GatLayer, float);
+BENCHMARK_TEMPLATE(BM_GatLayer, double);
+
+/// The stages of the shared forward kernel fwd::gat_layer_fwd at the same
+/// shape, one per row, plus the layer's tanh (run by the caller):
+/// 0 projection (x·W, edge_attr·W_e), 1 scores, 2 LeakyReLU + softmax,
+/// 3 messages, 4 scatter + bias, 5 tanh, 6 the whole kernel.
+template <typename T>
+void BM_GatLayerStage(benchmark::State& state) {
+  namespace fwd = ag::fwd;
+  using F = GatFixture<T>;
+  F fix;
+  util::Rng rng(6);
+  nn::GATConv layer(F::kIn, F::kHeadFeatures, F::kHeads, F::kEdgeDim, rng,
+                    0.2, ag::dtype_of_v<T>);
+  const auto params = layer.parameters();
+  const auto ptr = [&](std::size_t i) { return params[i].data_as<T>().data(); };
+  const std::int64_t n = F::kNodes, e_in = F::kEdges, e_all = e_in + n;
+  const std::int64_t heads = F::kHeads, hf = heads * F::kHeadFeatures;
+  const fwd::GatLayer<T> L{ptr(0), ptr(1), ptr(2), ptr(3), ptr(4), ptr(5),
+                           F::kIn, hf, heads, F::kEdgeDim, static_cast<T>(0.2)};
+  std::vector<std::int64_t> s(fix.src), d(fix.dst);
+  for (std::int64_t i = 0; i < n; ++i) {
+    s.push_back(i);
+    d.push_back(i);
+  }
+  std::vector<T> xw(n * hf), ea(e_in * hf), scores(e_all * heads),
+      alpha(e_all * heads), out(n * hf),
+      scratch(fwd::gat_scratch_size(n, e_all, hf, heads));
+  std::vector<double> seg_sum(n * heads);
+  const fwd::GatBuffers<T> b{xw.data(),     ea.data(),     scores.data(),
+                             alpha.data(),  scratch.data(), seg_sum.data()};
+  const T* x = fix.x.template data_as<T>().data();
+  const T* eattr = fix.edge_attr.template data_as<T>().data();
+  T* nd = scratch.data();
+  T* act = nd + 2 * n * heads;
+  T* seg_max = act + e_all * heads;
+  T* msg = seg_max + n * heads;
+  fwd::gat_layer_fwd(L, x, eattr, s.data(), d.data(), n, e_in, b, out.data());
+
+  const int stage = static_cast<int>(state.range(0));
+  static const char* const kNames[] = {"projection", "scores", "softmax",
+                                       "messages",   "scatter", "tanh",
+                                       "layer"};
+  state.SetLabel(kNames[stage]);
+  for (auto _ : state) {
+    switch (stage) {
+      case 0:
+        std::fill(xw.begin(), xw.end(), T(0));
+        ag::kern::mm_add(x, L.w, xw.data(), n, L.in, hf);
+        std::fill(ea.begin(), ea.end(), T(0));
+        ag::kern::mm_add(eattr, L.w_e, ea.data(), e_in, L.edge_dim, hf);
+        break;
+      case 1:
+        fwd::gat_scores_fwd(L, xw.data(), ea.data(), s.data(), d.data(), n,
+                            e_in, scores.data(), nd, act);
+        break;
+      case 2:
+        for (std::int64_t i = 0; i < e_all * heads; ++i)
+          act[i] = scores[i] > T(0) ? scores[i] : L.slope * scores[i];
+        std::fill(seg_sum.begin(), seg_sum.end(), 0.0);
+        fwd::segment_softmax_fwd(act, d.data(), alpha.data(), seg_max,
+                                 seg_sum.data(), e_all, heads, n);
+        break;
+      case 3:
+        fwd::gat_messages_fwd(xw.data(), ea.data(), alpha.data(), s.data(),
+                              e_in, e_all, hf, heads, msg);
+        break;
+      case 4:
+        fwd::scatter_add_bias_fwd(msg, d.data(), e_all, n, hf, L.bias,
+                                  out.data());
+        break;
+      case 5:
+        fwd::tanh_inplace(out.data(), n * hf);
+        break;
+      default:
+        fwd::gat_layer_fwd(L, x, eattr, s.data(), d.data(), n, e_in, b,
+                           out.data());
+    }
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK_TEMPLATE(BM_GatLayerStage, float)->DenseRange(0, 6);
+BENCHMARK_TEMPLATE(BM_GatLayerStage, double)->DenseRange(0, 6);
 
 void BM_SubgraphExtraction(benchmark::State& state) {
   datasets::WordNetSimOptions opts;

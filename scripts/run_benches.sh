@@ -112,10 +112,12 @@ if [[ "${run_sanitize}" -eq 1 ]]; then
   # so the kernel's multiply-adds round separately and the 2^32 proof is
   # repeated for that code generation.
   "${asan_dir}/bench/bench_tanh_exhaustive"
-  require_tests "${asan_dir}" \
-    -R 'ParallelDatasetBuild|DrnlProperty|ExtractionProperty|DynamicGraphProperty|BufferPool|SortPoolEquivalence'
-  ctest --test-dir "${asan_dir}" --output-on-failure \
-    -R 'ParallelDatasetBuild|DrnlProperty|ExtractionProperty|DynamicGraphProperty|BufferPool|SortPoolEquivalence'
+  # GatConvOp / GATLayer: the fused GAT layer's pooled saved state and its
+  # gradient writes through detail::grad_of; ParallelTrainer: the same
+  # writes into per-worker gradient sinks.
+  unit_tests='ParallelDatasetBuild|DrnlProperty|ExtractionProperty|DynamicGraphProperty|BufferPool|SortPoolEquivalence|GatConvOp|GATLayer|ParallelTrainer'
+  require_tests "${asan_dir}" -R "${unit_tests}"
+  ctest --test-dir "${asan_dir}" --output-on-failure -R "${unit_tests}"
   require_tests "${asan_dir}" -L dtype
   ctest --test-dir "${asan_dir}" --output-on-failure -L dtype
   # -E: the bench smokes also carry the `infer` / `dynamic` labels, but

@@ -12,6 +12,10 @@ namespace amdgcnn::infer {
 
 namespace {
 
+/// LeakyReLU slope of the attention logits (DGCNN builds every GATConv
+/// with 0.2).
+constexpr double kSlope = 0.2;
+
 /// Positional parameter reader with named shape/dtype validation.  The
 /// parameter order is Module::parameters() order: own parameters first, then
 /// children depth-first in registration order — fully determined by the
@@ -189,6 +193,27 @@ FrozenModel::FrozenModel(const models::LinkGNN& model,
     weight_bytes_ += qt->resident_bytes();
 }
 
+void FrozenModel::validate(const seal::SubgraphSample& sample) const {
+  ag::check(sample.node_feat.defined() && sample.node_feat.rank() == 2 &&
+                sample.node_feat.dim(0) == sample.num_nodes &&
+                sample.node_feat.dim(1) == config_.node_feature_dim,
+            "FrozenModel: sample feature shape mismatch");
+  ag::check(sample.src.size() == sample.dst.size(),
+            "FrozenModel: edge array size mismatch");
+  // Both forwards index arena rows with these ids, unchecked.
+  const std::int64_t n = sample.num_nodes;
+  for (std::size_t i = 0; i < sample.src.size(); ++i)
+    ag::check(sample.src[i] >= 0 && sample.src[i] < n &&
+                  sample.dst[i] >= 0 && sample.dst[i] < n,
+              "FrozenModel: edge index out of range");
+  if (edge_dim_ > 0)
+    ag::check(sample.edge_attr.defined() && sample.edge_attr.rank() == 2 &&
+                  sample.edge_attr.dim(0) ==
+                      static_cast<std::int64_t>(sample.src.size()) &&
+                  sample.edge_attr.dim(1) == edge_dim_,
+              "FrozenModel: edge attribute shape mismatch");
+}
+
 namespace {
 /// Decode one quantized tensor into arena scratch.
 inline const float* decode_to(const ag::quant::QuantizedTensor& qt,
@@ -216,19 +241,10 @@ const float* FrozenModel::forward_quant(const seal::SubgraphSample& sample,
   using T = float;
   const bool attention = config_.kind == models::GnnKind::kAMDGCNN;
 
-  ag::check(sample.node_feat.defined() &&
-                sample.node_feat.dim(1) == config_.node_feature_dim,
-            "FrozenModel: sample feature width mismatch");
-  ag::check(sample.src.size() == sample.dst.size(),
-            "FrozenModel: edge array size mismatch");
+  validate(sample);
   const std::int64_t n = sample.num_nodes;
   const auto e_in = static_cast<std::int64_t>(sample.src.size());
   const std::int64_t e_all = e_in + n;
-  if (edge_dim_ > 0)
-    ag::check(sample.edge_attr.defined() && sample.edge_attr.rank() == 2 &&
-                  sample.edge_attr.dim(0) == e_in &&
-                  sample.edge_attr.dim(1) == edge_dim_,
-              "FrozenModel: edge attribute shape mismatch");
 
   arena.reset();
 
@@ -299,7 +315,7 @@ const float* FrozenModel::forward_quant(const seal::SubgraphSample& sample,
         for (std::int64_t i = 0; i < e_in * heads; ++i) scores[i] += s3[i];
       }
 
-      const T slope = 0.2f;
+      const T slope = static_cast<T>(kSlope);
       for (std::int64_t i = 0; i < e_all * heads; ++i)
         scores[i] = scores[i] > T(0) ? scores[i] : slope * scores[i];
 
@@ -443,19 +459,10 @@ const T* FrozenModel::forward_impl(const seal::SubgraphSample& sample,
   namespace kern = ag::kern;
   const bool attention = config_.kind == models::GnnKind::kAMDGCNN;
 
-  ag::check(sample.node_feat.defined() &&
-                sample.node_feat.dim(1) == config_.node_feature_dim,
-            "FrozenModel: sample feature width mismatch");
-  ag::check(sample.src.size() == sample.dst.size(),
-            "FrozenModel: edge array size mismatch");
+  validate(sample);
   const std::int64_t n = sample.num_nodes;
   const auto e_in = static_cast<std::int64_t>(sample.src.size());
   const std::int64_t e_all = e_in + n;  // self-loops appended per layer
-  if (edge_dim_ > 0)
-    ag::check(sample.edge_attr.defined() && sample.edge_attr.rank() == 2 &&
-                  sample.edge_attr.dim(0) == e_in &&
-                  sample.edge_attr.dim(1) == edge_dim_,
-              "FrozenModel: edge attribute shape mismatch");
 
   arena.reset();
 
@@ -497,93 +504,36 @@ const T* FrozenModel::forward_impl(const seal::SubgraphSample& sample,
     T* out_l = arena.alloc<T>(static_cast<std::size_t>(n * w));
     const Arena::Mark scratch = arena.mark();
 
-    // x · W — zeroed accumulator + mm_add, exactly ops::matmul.
-    T* xw = arena.alloc<T>(static_cast<std::size_t>(n * w));
-    std::fill(xw, xw + n * w, T(0));
-    kern::mm_add(h, L.weight.data_as<T>().data(), xw, n, L.in, w);
-
     if (attention) {
-      const std::int64_t heads = L.heads;
-      const std::int64_t f = w / heads;
-      // Attention logits: <x·W[src], a_src> + <x·W[dst], a_dst>
-      // (+ <ea, a_edge>).  heads_dot_fwd's per-row result depends only on
-      // the row's values, so the training path's per-EDGE dots over gathered
-      // hs/hd rows equal per-NODE dots over xw gathered afterwards as
-      // scalars — e_all row-dots and two e_all*w row copies collapse to n
-      // row-dots.  The adds land in the same per-element order as the
-      // training graph (s1 + s2, then += s3), keeping the sums bit-exact.
-      T* nd_src = arena.alloc<T>(static_cast<std::size_t>(n * heads));
-      T* nd_dst = arena.alloc<T>(static_cast<std::size_t>(n * heads));
-      fwd::heads_dot_fwd(xw, L.a_src.data_as<T>().data(), nd_src, n, w, heads);
-      fwd::heads_dot_fwd(xw, L.a_dst.data_as<T>().data(), nd_dst, n, w, heads);
-      T* scores = arena.alloc<T>(static_cast<std::size_t>(e_all * heads));
-      for (std::int64_t r = 0; r < e_all; ++r)
-        for (std::int64_t hh = 0; hh < heads; ++hh)
-          scores[r * heads + hh] =
-              nd_src[s[r] * heads + hh] + nd_dst[d[r] * heads + hh];
-
-      const T* ea = nullptr;  // projected edge attributes, e_in rows
-      if (edge_dim_ > 0) {
-        // Self-loop rows of the training path's ea are exact zeros, and a
-        // heads_dot over a zero row is exactly +0.0 (the f64 lanes stay
-        // zero), so both the projection and the s3 dot shrink to the e_in
-        // real-edge rows; the self-loop tail of s3 is filled with the same
-        // +0.0 and still ADDED to the scores (x + 0.0 normalises -0.0 to
-        // +0.0, matching the training add bit for bit).
-        T* eam = arena.alloc<T>(static_cast<std::size_t>(e_in * w));
-        std::fill(eam, eam + e_in * w, T(0));
-        kern::mm_add(eattr, L.edge_weight.data_as<T>().data(), eam, e_in,
-                     edge_dim_, w);
-        ea = eam;
-        T* s3 = arena.alloc<T>(static_cast<std::size_t>(e_all * heads));
-        fwd::heads_dot_fwd(eam, L.a_edge.data_as<T>().data(), s3, e_in, w,
-                           heads);
-        std::fill(s3 + e_in * heads, s3 + e_all * heads, T(0));
-        for (std::int64_t i = 0; i < e_all * heads; ++i)
-          scores[i] = scores[i] + s3[i];
-      }
-
-      const T slope = static_cast<T>(0.2);
-      for (std::int64_t i = 0; i < e_all * heads; ++i)
-        scores[i] = scores[i] > T(0) ? scores[i] : slope * scores[i];
-
-      T* alpha = arena.alloc<T>(static_cast<std::size_t>(e_all * heads));
-      T* seg_max = arena.alloc<T>(static_cast<std::size_t>(n * heads));
-      double* seg_sum = arena.alloc<double>(static_cast<std::size_t>(n * heads));
-      std::fill(seg_sum, seg_sum + n * heads, 0.0);
-      fwd::segment_softmax_fwd(scores, d, alpha, seg_max, seg_sum, e_all, heads,
-                               n);
-
-      // Messages in one fused pass: the training path materialises the hs
-      // gather, the payload add (hs + ea) and the heads_scale product as
-      // three e_all*w arrays; each element here runs the SAME single add
-      // followed by the SAME single multiply ((a + b) * s has no contractible
-      // mul-add pair, so the two roundings survive any FMA policy) — reading
-      // xw rows in place and writing only the scaled message.  Self-loop
-      // rows add the training path's literal +0.0 edge contribution.
-      T* msg = arena.alloc<T>(static_cast<std::size_t>(e_all * w));
-      for (std::int64_t r = 0; r < e_all; ++r) {
-        const T* row = xw + s[r] * w;
-        const T* erow = (ea != nullptr && r < e_in) ? ea + r * w : nullptr;
-        for (std::int64_t hh = 0; hh < heads; ++hh) {
-          const T sc = alpha[r * heads + hh];
-          const std::int64_t base = hh * f;
-          T* mrow = msg + r * w + base;
-          if (ea != nullptr) {
-            if (erow != nullptr)
-              for (std::int64_t c = 0; c < f; ++c)
-                mrow[c] = (row[base + c] + erow[base + c]) * sc;
-            else
-              for (std::int64_t c = 0; c < f; ++c)
-                mrow[c] = (row[base + c] + T(0)) * sc;
-          } else {
-            for (std::int64_t c = 0; c < f; ++c) mrow[c] = row[base + c] * sc;
-          }
-        }
-      }
-      fwd::scatter_add_bias_fwd(msg, d, e_all, n, w, L.bias.data_as<T>().data(),
-                                out_l);
+      // The GAT layer body the trainer's ops::gat_conv runs (fwd_kernels.h).
+      const fwd::GatLayer<T> layer{
+          L.weight.data_as<T>().data(),
+          L.a_src.data_as<T>().data(),
+          L.a_dst.data_as<T>().data(),
+          edge_dim_ > 0 ? L.edge_weight.data_as<T>().data() : nullptr,
+          edge_dim_ > 0 ? L.a_edge.data_as<T>().data() : nullptr,
+          L.bias.data_as<T>().data(),
+          L.in,
+          w,
+          L.heads,
+          edge_dim_,
+          static_cast<T>(kSlope)};
+      const auto sz = [](std::int64_t v) {
+        return static_cast<std::size_t>(v);
+      };
+      const fwd::GatBuffers<T> bufs{
+          arena.alloc<T>(sz(n * w)),
+          edge_dim_ > 0 ? arena.alloc<T>(sz(e_in * w)) : nullptr,
+          arena.alloc<T>(sz(e_all * L.heads)),
+          arena.alloc<T>(sz(e_all * L.heads)),
+          arena.alloc<T>(sz(fwd::gat_scratch_size(n, e_all, w, L.heads))),
+          arena.alloc<double>(sz(n * L.heads))};
+      fwd::gat_layer_fwd(layer, h, eattr, s, d, n, e_in, bufs, out_l);
     } else {
+      // x · W — zeroed accumulator + mm_add, exactly ops::matmul.
+      T* xw = arena.alloc<T>(static_cast<std::size_t>(n * w));
+      std::fill(xw, xw + n * w, T(0));
+      kern::mm_add(h, L.weight.data_as<T>().data(), xw, n, L.in, w);
       // gather_rows + scale_rows fused: one copy-multiply per element, the
       // same single FP multiply the two-op training path performs.
       T* msg = arena.alloc<T>(static_cast<std::size_t>(e_all * w));

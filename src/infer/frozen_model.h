@@ -88,6 +88,10 @@ class FrozenModel {
     ag::quant::QuantizedTensor a_src, a_dst, edge_weight, a_edge;
   };
 
+  /// Throws std::invalid_argument unless the sample's shapes match the
+  /// config and every edge index lies in [0, num_nodes).
+  void validate(const seal::SubgraphSample& sample) const;
+
   template <typename T>
   void run(const seal::SubgraphSample& sample, Arena& arena, bool proba,
            double* out) const;

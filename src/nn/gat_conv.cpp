@@ -9,21 +9,20 @@ GATConv::GATConv(std::int64_t in_features, std::int64_t head_features,
       head_features_(head_features),
       heads_(heads),
       edge_dim_(edge_attr_dim),
-      negative_slope_(negative_slope),
-      dtype_(dtype) {
+      negative_slope_(negative_slope) {
   ag::check(in_features > 0 && head_features > 0 && heads > 0,
             "GATConv: sizes must be positive");
   ag::check(edge_attr_dim >= 0, "GATConv: negative edge_attr_dim");
   const std::int64_t hf = heads_ * head_features_;
-  weight_ = register_parameter(ag::Tensor::xavier(in_, hf, rng, dtype));
-  a_src_ = register_parameter(ag::Tensor::xavier(1, hf, rng, dtype));
-  a_dst_ = register_parameter(ag::Tensor::xavier(1, hf, rng, dtype));
+  params_.w = register_parameter(ag::Tensor::xavier(in_, hf, rng, dtype));
+  params_.a_src = register_parameter(ag::Tensor::xavier(1, hf, rng, dtype));
+  params_.a_dst = register_parameter(ag::Tensor::xavier(1, hf, rng, dtype));
   if (edge_dim_ > 0) {
-    edge_weight_ =
+    params_.w_e =
         register_parameter(ag::Tensor::xavier(edge_dim_, hf, rng, dtype));
-    a_edge_ = register_parameter(ag::Tensor::xavier(1, hf, rng, dtype));
+    params_.a_edge = register_parameter(ag::Tensor::xavier(1, hf, rng, dtype));
   }
-  bias_ = register_parameter(ag::Tensor::zeros({1, hf}, dtype));
+  params_.bias = register_parameter(ag::Tensor::zeros({1, hf}, dtype));
 }
 
 ag::Tensor GATConv::forward(const ag::Tensor& x,
@@ -31,52 +30,10 @@ ag::Tensor GATConv::forward(const ag::Tensor& x,
                             const std::vector<std::int64_t>& dst,
                             const ag::Tensor& edge_attr,
                             std::int64_t num_nodes) const {
-  namespace ops = ag::ops;
   ag::check(x.rank() == 2 && x.dim(0) == num_nodes,
             "GATConv: node feature shape mismatch");
-  ag::check(src.size() == dst.size(), "GATConv: edge array size mismatch");
-  const auto e_in = static_cast<std::int64_t>(src.size());
-  if (edge_dim_ > 0) {
-    ag::check(edge_attr.defined() && edge_attr.rank() == 2 &&
-                  edge_attr.dim(0) == e_in && edge_attr.dim(1) == edge_dim_,
-              "GATConv: edge attribute shape mismatch");
-  }
-
-  // Self-loops appended after the real edges (attribute = zero vector).
-  std::vector<std::int64_t> s(src), d(dst);
-  s.reserve(src.size() + static_cast<std::size_t>(num_nodes));
-  d.reserve(dst.size() + static_cast<std::size_t>(num_nodes));
-  for (std::int64_t i = 0; i < num_nodes; ++i) {
-    s.push_back(i);
-    d.push_back(i);
-  }
-  const auto e_all = static_cast<std::int64_t>(s.size());
-
-  auto xw = ops::matmul(x, weight_);           // [n, H*F]
-  auto hs = ops::gather_rows(xw, s);           // [E, H*F] source payloads
-  auto hd = ops::gather_rows(xw, d);           // [E, H*F]
-
-  ag::Tensor payload = hs;
-  auto scores = ops::add(ops::heads_dot(hs, a_src_, heads_),
-                         ops::heads_dot(hd, a_dst_, heads_));  // [E, H]
-  if (edge_dim_ > 0) {
-    // Project real-edge attributes (cast to the layer dtype if the dataset
-    // was built at the other precision); self-loop rows are zero.
-    auto ea_real =
-        ops::matmul(ops::cast(edge_attr, dtype_), edge_weight_);  // [e_in,H*F]
-    auto ea = e_in == e_all
-                  ? ea_real
-                  : ops::concat_rows(
-                        {ea_real,
-                         ag::Tensor::zeros(
-                             {e_all - e_in, heads_ * head_features_}, dtype_)});
-    scores = ops::add(scores, ops::heads_dot(ea, a_edge_, heads_));
-    payload = ops::add(payload, ea);
-  }
-  scores = ops::leaky_relu(scores, negative_slope_);
-  auto alpha = ops::segment_softmax(scores, d, num_nodes);  // [E, H]
-  auto msg = ops::heads_scale(payload, alpha, heads_);      // [E, H*F]
-  return ops::scatter_add_bias(msg, d, num_nodes, bias_);   // [n, H*F] + bias
+  return ag::ops::gat_conv(x, src, dst, edge_attr, params_, heads_,
+                           negative_slope_);
 }
 
 }  // namespace amdgcnn::nn

@@ -33,7 +33,9 @@ class GATConv final : public Module {
 
   /// x: [n, in]; (src, dst) directed edges WITHOUT self-loops; edge_attr is
   /// [E, edge_attr_dim] aligned with (src, dst) (undefined when the layer
-  /// was built with edge_attr_dim == 0).  Returns [n, heads*head_features].
+  /// was built with edge_attr_dim == 0; data, never requiring grad).
+  /// Returns the pre-activation [n, heads*head_features] as one tape node
+  /// (ops::gat_conv).
   ag::Tensor forward(const ag::Tensor& x, const std::vector<std::int64_t>& src,
                      const std::vector<std::int64_t>& dst,
                      const ag::Tensor& edge_attr,
@@ -46,13 +48,7 @@ class GATConv final : public Module {
  private:
   std::int64_t in_, head_features_, heads_, edge_dim_;
   double negative_slope_;
-  ag::Dtype dtype_;  // storage precision of the parameters (and outputs)
-  ag::Tensor weight_;   // [in, H*F]
-  ag::Tensor a_src_;    // [1, H*F]
-  ag::Tensor a_dst_;    // [1, H*F]
-  ag::Tensor edge_weight_;  // [edge_dim, H*F] (undefined when edge_dim == 0)
-  ag::Tensor a_edge_;       // [1, H*F]       (undefined when edge_dim == 0)
-  ag::Tensor bias_;     // [1, H*F]
+  ag::ops::GatParams params_;  // storage precision set by the ctor's dtype
 };
 
 }  // namespace amdgcnn::nn

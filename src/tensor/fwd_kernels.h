@@ -12,9 +12,10 @@
 //
 // Only the order- or contraction-sensitive forwards live here (dot-product
 // reductions, softmax normalisers, conv taps, the SortPooling comparator,
-// the multi-step f32 tanh).  Single-FP-op-per-element forwards (add, relu,
-// scaling) are exact by construction in any code shape and stay inline at
-// their call sites.
+// the multi-step f32 tanh), plus one whole layer, the edge-attribute GAT
+// layer, whose every operation the trainer and the frozen engine share.
+// Single-FP-op-per-element forwards (add, relu, scaling) are exact by
+// construction in any code shape and stay inline at their call sites.
 //
 // All kernels are raw-pointer, caller-allocated: autograd callers hand
 // pooled vectors, the inference engine hands arena blocks.  None of them
@@ -131,6 +132,160 @@ inline void scatter_add_bias_fwd(const T* __restrict__ src,
   for (std::int64_t r = 0; r < e; ++r)
     for (std::int64_t c = 0; c < m; ++c)
       out[index[r] * m + c] += src[r * m + c];
+}
+
+// ---- Edge-attribute GAT layer (paper §III-C) --------------------------------
+
+/// Weights and widths of one GAT layer as raw row-major pointers.  w_e and
+/// a_edge are null when edge_dim == 0.
+template <typename T>
+struct GatLayer {
+  const T* w;       // [in, hf]
+  const T* a_src;   // [hf]
+  const T* a_dst;   // [hf]
+  const T* w_e;     // [edge_dim, hf]
+  const T* a_edge;  // [hf]
+  const T* bias;    // [hf]
+  std::int64_t in, hf, heads, edge_dim;
+  T slope;  // LeakyReLU negative slope of the attention logits
+};
+
+/// Caller-allocated buffers of gat_layer_fwd for n nodes, e_in real edges
+/// and e_all = e_in + n edges with the self-loops.  xw, ea, scores and alpha
+/// are the values the training backward reads; the rest is scratch.
+template <typename T>
+struct GatBuffers {
+  T* xw;            // [n, hf]        x·W
+  T* ea;            // [e_in, hf]     edge_attr·W_e (unused when edge_dim 0)
+  T* scores;        // [e_all, heads] attention logits before the LeakyReLU
+  T* alpha;         // [e_all, heads] attention weights
+  T* scratch;       // gat_scratch_size(...) elements
+  double* seg_sum;  // [n, heads]
+};
+
+/// Elements of GatBuffers::scratch: per-node dots [2n, heads], activated
+/// logits [e_all, heads], segment maxima [n, heads], messages [e_all, hf].
+inline std::int64_t gat_scratch_size(std::int64_t n, std::int64_t e_all,
+                                     std::int64_t hf, std::int64_t heads) {
+  return 3 * n * heads + e_all * (heads + hf);
+}
+
+/// Attention logits of every edge (self-loops included):
+///   scores[r] = <xw[s[r]], a_src> + <xw[d[r]], a_dst> (+ <ea[r], a_edge>).
+/// It equals the per-edge dots over gathered rows of the tape formulation
+/// (tests/gat_reference.h) bit for bit:
+///   * heads_dot_fwd's result for a row depends only on that row's values,
+///     so per-NODE dots gathered as scalars equal per-EDGE dots over
+///     gathered rows;
+///   * the adds run in the same per-element order: (src + dst), then + edge;
+///   * the self-loop rows of the edge projection are exact zeros, and a dot
+///     over a zero row is exactly +0.0 (the f64 lanes stay +0.0), so the
+///     edge dots run over the e_in real rows and the self-loop tail adds a
+///     literal +0.0, which still normalises a -0.0 sum to +0.0 as the tape's
+///     add does.
+/// `nd` is scratch of 2n*heads; `s3` scratch of e_all*heads.
+template <typename T>
+inline void gat_scores_fwd(const GatLayer<T>& L, const T* __restrict__ xw,
+                           const T* __restrict__ ea,
+                           const std::int64_t* __restrict__ s,
+                           const std::int64_t* __restrict__ d,
+                           std::int64_t n, std::int64_t e_in,
+                           T* __restrict__ scores, T* __restrict__ nd,
+                           T* __restrict__ s3) {
+  const std::int64_t heads = L.heads, e_all = e_in + n;
+  T* nd_src = nd;
+  T* nd_dst = nd + n * heads;
+  heads_dot_fwd(xw, L.a_src, nd_src, n, L.hf, heads);
+  heads_dot_fwd(xw, L.a_dst, nd_dst, n, L.hf, heads);
+  for (std::int64_t r = 0; r < e_all; ++r)
+    for (std::int64_t h = 0; h < heads; ++h)
+      scores[r * heads + h] =
+          nd_src[s[r] * heads + h] + nd_dst[d[r] * heads + h];
+  if (L.edge_dim > 0) {
+    heads_dot_fwd(ea, L.a_edge, s3, e_in, L.hf, heads);
+    std::fill(s3 + e_in * heads, s3 + e_all * heads, T(0));
+    for (std::int64_t i = 0; i < e_all * heads; ++i)
+      scores[i] = scores[i] + s3[i];
+  }
+}
+
+/// Scaled messages msg[r] = alpha[r] (per head) * payload[r], with payload
+/// xw[s[r]] + ea[r] (xw[s[r]] + 0 on self-loops) or xw[s[r]] without edge
+/// attributes.  The tape formulation materialises the gather, the payload
+/// add and the heads_scale product as three arrays; here each element runs
+/// the same single add and then the same single multiply.  (a + b) * s has
+/// no contractible mul-add pair, so both roundings survive any FMA policy.
+/// The scatter stays a separate pass (scatter_add_bias_fwd): fused, its
+/// `out += msg` would contract with this multiply into one rounding.
+template <typename T>
+inline void gat_messages_fwd(const T* __restrict__ xw,
+                             const T* __restrict__ ea,
+                             const T* __restrict__ alpha,
+                             const std::int64_t* __restrict__ s,
+                             std::int64_t e_in, std::int64_t e_all,
+                             std::int64_t hf, std::int64_t heads,
+                             T* __restrict__ msg) {
+  const std::int64_t f = hf / heads;
+  for (std::int64_t r = 0; r < e_all; ++r) {
+    const T* row = xw + s[r] * hf;
+    const T* erow = (ea != nullptr && r < e_in) ? ea + r * hf : nullptr;
+    for (std::int64_t h = 0; h < heads; ++h) {
+      const T sc = alpha[r * heads + h];
+      const std::int64_t base = h * f;
+      T* mrow = msg + r * hf + base;
+      if (ea != nullptr) {
+        if (erow != nullptr)
+          for (std::int64_t c = 0; c < f; ++c)
+            mrow[c] = (row[base + c] + erow[base + c]) * sc;
+        else
+          for (std::int64_t c = 0; c < f; ++c)
+            mrow[c] = (row[base + c] + T(0)) * sc;
+      } else {
+        for (std::int64_t c = 0; c < f; ++c) mrow[c] = row[base + c] * sc;
+      }
+    }
+  }
+}
+
+/// One GAT layer, pre-activation: out[n, hf] = bias + sum over the incoming
+/// edges of each node of alpha * payload, with self-loops appended to the
+/// edge list.  s and d hold e_all = e_in + n entries, the self-loop (i, i)
+/// at e_in + i; eattr is [e_in, edge_dim] at width T.  The trainer
+/// (ops::gat_conv) calls it with pooled buffers and keeps xw, ea, scores
+/// and alpha for its backward; the frozen forward calls it with arena
+/// buffers.  One instantiation serves both, so the frozen logits equal the
+/// training forward by construction.
+template <typename T>
+inline void gat_layer_fwd(const GatLayer<T>& L, const T* __restrict__ x,
+                          const T* __restrict__ eattr,
+                          const std::int64_t* __restrict__ s,
+                          const std::int64_t* __restrict__ d, std::int64_t n,
+                          std::int64_t e_in, const GatBuffers<T>& b,
+                          T* __restrict__ out) {
+  const std::int64_t hf = L.hf, heads = L.heads, e_all = e_in + n;
+  T* nd = b.scratch;                       // [2n, heads]
+  T* act = nd + 2 * n * heads;             // [e_all, heads]
+  T* seg_max = act + e_all * heads;        // [n, heads]
+  T* msg = seg_max + n * heads;            // [e_all, hf]
+
+  // x·W and edge_attr·W_e: zeroed accumulator + mm_add, exactly ops::matmul.
+  std::fill(b.xw, b.xw + n * hf, T(0));
+  kern::mm_add(x, L.w, b.xw, n, L.in, hf);
+  const T* ea = nullptr;
+  if (L.edge_dim > 0) {
+    std::fill(b.ea, b.ea + e_in * hf, T(0));
+    kern::mm_add(eattr, L.w_e, b.ea, e_in, L.edge_dim, hf);
+    ea = b.ea;
+  }
+
+  gat_scores_fwd(L, b.xw, ea, s, d, n, e_in, b.scores, nd, act);
+  for (std::int64_t i = 0; i < e_all * heads; ++i)
+    act[i] = b.scores[i] > T(0) ? b.scores[i] : L.slope * b.scores[i];
+  std::fill(b.seg_sum, b.seg_sum + n * heads, 0.0);
+  segment_softmax_fwd(act, d, b.alpha, seg_max, b.seg_sum, e_all, heads, n);
+
+  gat_messages_fwd(b.xw, ea, b.alpha, s, e_in, e_all, hf, heads, msg);
+  scatter_add_bias_fwd(msg, d, e_all, n, hf, L.bias, out);
 }
 
 /// SortPooling row selection: fill perm[0..n) with the indices of d[n,c]

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <limits>
 
+#include "tensor/bwd_kernels.h"
 #include "tensor/fwd_kernels.h"
 #include "tensor/kernels.h"
 
@@ -468,10 +469,9 @@ Tensor leaky_relu_impl(const Tensor& a, double negative_slope) {
       [a, slope](detail::TensorImpl& self) {
         if (!wants_grad(a)) return;
         const auto& sg = self.grad_as<T>();
-        auto& ga = detail::grad_of<T>(*a.impl());
-        const auto& ad = a.data_as<T>();
-        for (std::size_t i = 0; i < sg.size(); ++i)
-          ga[i] += sg[i] * (ad[i] > T(0) ? T(1) : slope);
+        bwd::leaky_relu_bwd(sg.data(), a.data_as<T>().data(), slope,
+                            detail::grad_of<T>(*a.impl()).data(),
+                            static_cast<std::int64_t>(sg.size()));
       });
 }
 
@@ -655,7 +655,7 @@ Tensor dropout_impl(const Tensor& a, double p, util::Rng& rng) {
 
 template <typename T>
 Tensor heads_dot_impl(const Tensor& x, const Tensor& a, std::int64_t heads) {
-  const std::int64_t e = x.dim(0), hf = x.dim(1), f = hf / heads;
+  const std::int64_t e = x.dim(0), hf = x.dim(1);
   const auto& xd = x.data_as<T>();
   const auto& ad = a.data_as<T>();
   std::vector<T> out =
@@ -666,98 +666,34 @@ Tensor heads_dot_impl(const Tensor& x, const Tensor& a, std::int64_t heads) {
   fwd::heads_dot_fwd(xd.data(), ad.data(), out.data(), e, hf, heads);
   return Tensor::make_op_result(
       {e, heads}, std::move(out), {x, a},
-      [x, a, e, heads, f, hf](detail::TensorImpl& self) {
-        // The per-head feature width f is small (8..32), so these inner
-        // loops only pay off as straight SIMD: hoist __restrict__ row
-        // pointers (grad buffers never alias data buffers) so the compiler
-        // emits one or two vector ops per head instead of re-checking for
-        // overlap on every tiny loop.
-        const T* __restrict__ sgp = self.grad_as<T>().data();
-        if (wants_grad(x)) {
-          T* __restrict__ gxp = detail::grad_of<T>(*x.impl()).data();
-          const T* __restrict__ adp = a.data_as<T>().data();
-          for (std::int64_t r = 0; r < e; ++r) {
-            T* grow = gxp + r * hf;
-            const T* srow = sgp + r * heads;
-            for (std::int64_t h = 0; h < heads; ++h) {
-              const T go = srow[h];
-              T* __restrict__ g = grow + h * f;
-              const T* __restrict__ av = adp + h * f;
-              for (std::int64_t c = 0; c < f; ++c) g[c] += go * av[c];
-            }
-          }
-        }
-        if (wants_grad(a)) {
-          T* __restrict__ gap = detail::grad_of<T>(*a.impl()).data();
-          const T* __restrict__ xdp = x.data_as<T>().data();
-          for (std::int64_t r = 0; r < e; ++r) {
-            const T* xrow = xdp + r * hf;
-            const T* srow = sgp + r * heads;
-            for (std::int64_t h = 0; h < heads; ++h) {
-              const T go = srow[h];
-              T* __restrict__ g = gap + h * f;
-              const T* __restrict__ xv = xrow + h * f;
-              for (std::int64_t c = 0; c < f; ++c) g[c] += go * xv[c];
-            }
-          }
-        }
+      [x, a, e, heads, hf](detail::TensorImpl& self) {
+        bwd::heads_dot_bwd(
+            self.grad_as<T>().data(), a.data_as<T>().data(),
+            x.data_as<T>().data(), nullptr,
+            wants_grad(x) ? detail::grad_of<T>(*x.impl()).data() : nullptr,
+            wants_grad(a) ? detail::grad_of<T>(*a.impl()).data() : nullptr, e,
+            hf, heads);
       });
 }
 
 template <typename T>
 Tensor heads_scale_impl(const Tensor& x, const Tensor& alpha,
                         std::int64_t heads) {
-  const std::int64_t e = x.dim(0), hf = x.dim(1), f = hf / heads;
+  const std::int64_t e = x.dim(0), hf = x.dim(1);
   const auto& xd = x.data_as<T>();
   const auto& al = alpha.data_as<T>();
   std::vector<T> out = detail::new_buffer_t<T>(xd.size());
   fwd::heads_scale_fwd(xd.data(), al.data(), out.data(), e, hf, heads);
   return Tensor::make_op_result(
       x.shape(), std::move(out), {x, alpha},
-      [x, alpha, e, heads, f, hf](detail::TensorImpl& self) {
-        const auto& sg = self.grad_as<T>();
-        if (wants_grad(x)) {
-          // Hoisted __restrict__ row pointers for the same reason as the
-          // heads_dot backward: the f-length loops are pure SIMD once the
-          // compiler knows the grad buffer cannot alias sg/alpha data.
-          T* __restrict__ gxp = detail::grad_of<T>(*x.impl()).data();
-          const T* __restrict__ sgp = sg.data();
-          const T* __restrict__ alp = alpha.data_as<T>().data();
-          for (std::int64_t r = 0; r < e; ++r) {
-            T* grow = gxp + r * hf;
-            const T* srow = sgp + r * hf;
-            const T* arow = alp + r * heads;
-            for (std::int64_t h = 0; h < heads; ++h) {
-              const T s = arow[h];
-              T* __restrict__ g = grow + h * f;
-              const T* __restrict__ sv = srow + h * f;
-              for (std::int64_t c = 0; c < f; ++c) g[c] += sv[c] * s;
-            }
-          }
-        }
-        if (wants_grad(alpha)) {
-          auto& gal = detail::grad_of<T>(*alpha.impl());
-          const auto& xd = x.data_as<T>();
-          for (std::int64_t r = 0; r < e; ++r)
-            for (std::int64_t h = 0; h < heads; ++h) {
-              // Lane-split f64 reduction, same rationale as heads_dot.
-              constexpr int kLanes = 8;
-              double lanes[kLanes] = {};
-              const T* srow = sg.data() + r * hf + h * f;
-              const T* xrow = xd.data() + r * hf + h * f;
-              std::int64_t c = 0;
-              for (; c + kLanes <= f; c += kLanes)
-                for (int l = 0; l < kLanes; ++l)
-                  lanes[l] += static_cast<double>(srow[c + l]) *
-                              static_cast<double>(xrow[c + l]);
-              double acc = 0.0;
-              for (int l = 0; l < kLanes; ++l) acc += lanes[l];
-              for (; c < f; ++c)
-                acc += static_cast<double>(srow[c]) *
-                       static_cast<double>(xrow[c]);
-              gal[r * heads + h] += static_cast<T>(acc);
-            }
-        }
+      [x, alpha, e, heads, hf](detail::TensorImpl& self) {
+        bwd::heads_scale_bwd(
+            self.grad_as<T>().data(), alpha.data_as<T>().data(),
+            x.data_as<T>().data(),
+            wants_grad(x) ? detail::grad_of<T>(*x.impl()).data() : nullptr,
+            wants_grad(alpha) ? detail::grad_of<T>(*alpha.impl()).data()
+                              : nullptr,
+            e, hf, heads);
       });
 }
 

@@ -88,7 +88,10 @@ Tensor cross_entropy(const Tensor& logits,
 /// rest by 1/(1-p); identity in eval mode.
 Tensor dropout(const Tensor& a, double p, bool training, util::Rng& rng);
 
-// ---- Multi-head attention helpers (used by GATConv) ---------------------------
+// ---- Multi-head attention helpers --------------------------------------------
+// Building blocks of the per-op GAT chain (tests/gat_reference.h).  GATConv
+// itself runs the fused ops::gat_conv (segment_ops.h), whose backward shares
+// their loops (bwd_kernels.h).
 
 /// Per-head dot product against a parameter vector.
 /// x: [E, H*F], a: [1, H*F] -> out[e, h] = sum_f x[e, h*F+f] * a[0, h*F+f].

@@ -4,6 +4,7 @@
 // edge sources followed by scatter_add_rows over edge destinations;
 // attention normalisation is a softmax *within each destination segment*
 // (segment_softmax).  These mirror torch_scatter / PyG's building blocks.
+// gat_conv fuses a whole attention layer built from them into one node.
 #pragma once
 
 #include <cstdint>
@@ -41,5 +42,29 @@ Tensor segment_softmax(const Tensor& scores,
 /// out[s, :] = sum of src rows with segment id s (dense segment sum).
 Tensor segment_sum(const Tensor& src, const std::vector<std::int64_t>& segment,
                    std::int64_t num_segments);
+
+/// Parameters of one edge-attribute GAT layer (nn::GATConv).  w_e and
+/// a_edge are undefined for a layer without edge attributes.
+struct GatParams {
+  Tensor w;       ///< [in, heads*F]
+  Tensor a_src;   ///< [1, heads*F]
+  Tensor a_dst;   ///< [1, heads*F]
+  Tensor w_e;     ///< [edge_dim, heads*F]
+  Tensor a_edge;  ///< [1, heads*F]
+  Tensor bias;    ///< [1, heads*F]
+};
+
+/// One whole GAT layer (paper §III-C, nn::GATConv) as a single tape node.
+/// x: [n, in]; (src, dst) directed edges in [0, n) WITHOUT self-loops;
+/// edge_attr: [E, edge_dim] aligned with them, at either dtype (it is data:
+/// it must not require grad), ignored when p.w_e is undefined.  Self-loops
+/// with zero attributes are appended; the result is the pre-activation
+/// [n, heads*F] output.  Forward and gradients equal, bit for bit, the chain
+/// matmul → gather_rows → heads_dot → add → leaky_relu → segment_softmax →
+/// heads_scale → scatter_add_bias it replaces (tests/gat_reference.h); the
+/// forward is fwd::gat_layer_fwd, which the frozen engine runs too.
+Tensor gat_conv(const Tensor& x, const std::vector<std::int64_t>& src,
+                const std::vector<std::int64_t>& dst, const Tensor& edge_attr,
+                const GatParams& p, std::int64_t heads, double negative_slope);
 
 }  // namespace amdgcnn::ag::ops

@@ -58,7 +58,7 @@ BasicBufferPool<float>& f32_buffer_pool() {
   return *pool;
 }
 
-thread_local GradSink* tls_grad_sink = nullptr;
+thread_local constinit GradSink* tls_grad_sink = nullptr;
 
 }  // namespace detail
 

@@ -338,7 +338,11 @@ struct GradSink {
   std::vector<std::vector<float>>* buffers_f32 = nullptr;
 };
 
-extern thread_local GradSink* tls_grad_sink;
+// constinit: the pointer needs no dynamic initialisation, so accesses from
+// other translation units read the TLS slot directly instead of going
+// through the thread_local init wrapper (which UBSan flagged as a load of a
+// null GradSink* in every parallel trainer test).
+extern thread_local constinit GradSink* tls_grad_sink;
 
 /// The buffer a backward function must accumulate `impl`'s gradient into:
 /// the thread's sink slot when one is active, the impl's own grad storage

@@ -223,6 +223,48 @@ TEST(FrozenModel, WorksWithoutEdges) {
   for (int j = 0; j < 2; ++j) EXPECT_EQ(logits.item(j), mine[j]);
 }
 
+/// A 4-node AM-DGCNN sample whose last edge ends at `bad_dst`.
+seal::SubgraphSample sample_with_dst(std::int64_t bad_dst, ag::Dtype dtype) {
+  seal::SubgraphSample s;
+  s.num_nodes = 4;
+  s.node_feat = ag::Tensor::ones({4, 4}, dtype);
+  s.src = {0, 1, 2};
+  s.dst = {1, 2, bad_dst};
+  s.edge_attr = ag::Tensor::zeros({3, 2}, dtype);
+  return s;
+}
+
+TEST(FrozenModel, RejectsEdgeIndicesOutOfRange) {
+  // The arena forward indexes rows with the sample's ids: one past the end
+  // used to return probabilities and a far id to crash, where the trainer
+  // throws on both.
+  for (auto kind : {models::GnnKind::kAMDGCNN, models::GnnKind::kVanillaDGCNN})
+    for (auto dtype : {ag::Dtype::f32, ag::Dtype::f64}) {
+      util::Rng rng(15);
+      auto model = models::make_link_gnn(small_config(kind, dtype), rng);
+      model->set_training(false);
+      infer::FrozenModel frozen(*model);
+      infer::Arena arena;
+      for (std::int64_t bad : {4, 1000000, -1}) {
+        const auto s = sample_with_dst(bad, dtype);
+        double out[2];
+        EXPECT_THROW(frozen.predict_proba(s, arena, out),
+                     std::invalid_argument)
+            << models::gnn_kind_name(kind) << " " << ag::dtype_name(dtype)
+            << " dst " << bad;
+        EXPECT_THROW(frozen.forward_logits(s, arena, out),
+                     std::invalid_argument);
+        if (kind == models::GnnKind::kAMDGCNN) {
+          util::Rng fwd(3);
+          EXPECT_THROW(model->forward(s, fwd), std::invalid_argument);
+        }
+      }
+      double out[2];
+      EXPECT_NO_THROW(frozen.predict_proba(sample_with_dst(3, dtype), arena,
+                                           out));
+    }
+}
+
 // ---- predict_links ----------------------------------------------------------
 
 datasets::LinkDataset tiny_wordnet() {

@@ -274,6 +274,33 @@ TEST(QuantizedForward, ResidentWeightBytesShrink) {
             static_cast<double>(exact.weight_bytes()) / 3.0);
 }
 
+TEST(QuantizedForward, RejectsEdgeIndicesOutOfRange) {
+  // forward_quant indexes arena rows with the sample's ids like the exact
+  // forward: one past the end used to return probabilities, a far id to
+  // crash.
+  util::Rng rng(25);
+  auto model = models::make_link_gnn(
+      small_config(models::GnnKind::kAMDGCNN, ag::Dtype::f32), rng);
+  infer::FrozenModel q8(*model, ag::quant::Scheme::kQ8);
+  infer::Arena arena;
+  for (std::int64_t bad : {3, 4, 1000000}) {
+    seal::SubgraphSample s;
+    s.num_nodes = 4;
+    s.node_feat = ag::Tensor::ones({4, 4}, ag::Dtype::f32);
+    s.src = {0, 1, 2};
+    s.dst = {1, 2, bad};
+    s.edge_attr = ag::Tensor::zeros({3, 2}, ag::Dtype::f32);
+    double out[2];
+    if (bad < s.num_nodes) {
+      EXPECT_NO_THROW(q8.predict_proba(s, arena, out));
+    } else {
+      EXPECT_THROW(q8.predict_proba(s, arena, out), std::invalid_argument)
+          << "dst " << bad;
+      EXPECT_THROW(q8.forward_logits(s, arena, out), std::invalid_argument);
+    }
+  }
+}
+
 TEST(QuantizedForward, ArenaStopsGrowingAfterWarmUp) {
   // warm_up routes through the dispatching forward, so it must also cover
   // the per-stage decode scratch of the quantized path.
