@@ -14,7 +14,7 @@
 // The scale tier (DESIGN.md §2.6) then runs the same extraction on
 // 10^5- and 10^6-node streaming-generated graphs, comparing the legacy
 // clear-per-link kernel against the epoch kernel (gated at >= 5x at a
-// million nodes) and the frontier-reuse cache on a shared-endpoint candidate
+// million nodes) and source-frontier replay on a shared-endpoint candidate
 // batch, plus snapshot save / mmap-load timings (mmap load gated at >= 20x
 // over the generator build).  The gates are asserted in full mode only;
 // --smoke shrinks the tier to one small graph and checks bytes, not speed.
@@ -27,6 +27,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -194,15 +195,21 @@ bool subgraphs_equal(const graph::EnclosingSubgraph& x,
 
 /// Links/sec of extraction over `links`, repeating whole passes until the
 /// clock has accumulated enough signal (>= 3 passes and >= 0.25 s).
+/// Links/sec of extract_enclosing_subgraph over `links`.  With a
+/// `source_slot`, every link passes it as its source's frontier slot: the
+/// warm-up fills it, and every timed extraction replays it.
 double time_extraction(const graph::KnowledgeGraph& g,
                        const std::vector<seal::LinkExample>& links,
-                       const graph::ExtractOptions& opt) {
-  graph::extract_enclosing_subgraph(g, links[0].a, links[0].b, opt);  // warmup
+                       const graph::ExtractOptions& opt,
+                       std::shared_ptr<const graph::Frontier>* source_slot =
+                           nullptr) {
+  graph::extract_enclosing_subgraph(g, links[0].a, links[0].b, opt,
+                                    source_slot);  // warmup
   util::Stopwatch watch;
   int passes = 0;
   do {
     for (const auto& l : links)
-      graph::extract_enclosing_subgraph(g, l.a, l.b, opt);
+      graph::extract_enclosing_subgraph(g, l.a, l.b, opt, source_slot);
     ++passes;
   } while (passes < 3 || watch.seconds() < 0.25);
   return static_cast<double>(links.size()) * passes / watch.seconds();
@@ -283,7 +290,8 @@ ScaleResult run_scale_tier(std::int64_t num_nodes, bool smoke) {
   r.epoch_speedup = r.epoch_links_per_sec / r.clear_links_per_sec;
 
   // Serving-shaped candidate batch: one source fanned out against many
-  // destinations — the frontier cache's hit case.
+  // destinations, its frontier replayed through the source slot as the
+  // Server does within an endpoint group.
   std::vector<seal::LinkExample> batch;
   {
     util::Rng rng(23);
@@ -294,9 +302,12 @@ ScaleResult run_scale_tier(std::int64_t num_nodes, bool smoke) {
       if (v != src) batch.push_back({src, v, 0});
     }
   }
-  auto reuse_opt = ex;
-  reuse_opt.reuse_frontiers = true;
-  r.frontier_links_per_sec = time_extraction(g, batch, reuse_opt);
+  std::shared_ptr<const graph::Frontier> source_frontier;
+  r.frontier_links_per_sec = time_extraction(g, batch, ex, &source_frontier);
+  if (source_frontier == nullptr) {
+    std::fprintf(stderr, "FATAL: the fan's source frontier was never filled\n");
+    std::exit(1);
+  }
   return r;
 }
 

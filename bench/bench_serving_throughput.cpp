@@ -9,9 +9,9 @@
 // (hot candidate sets re-scored as the stream cycles).  The baseline scores
 // every request from scratch with a fresh-eyes predict_links call (the
 // pre-§2.8 serving story: no cross-request state beyond the warm arena);
-// the Server amortises via its three cache layers — in-batch dedup +
-// cross-query score LRU skip repeat forwards entirely, endpoint frontiers
-// and node rows cut the cold-link cost.
+// the Server amortises via its two cache layers — in-batch dedup +
+// cross-query score LRU skip repeat forwards entirely, and endpoint
+// frontiers cut the cold-link cost.
 //
 // Asserted gates (the binary exits non-zero on violation):
 //   * speedup (full mode only) — batched warm-pool serving must clear >= 2x
@@ -106,7 +106,6 @@ struct ShapeRow {
   double speedup = 0.0;
   double score_hit_rate = 0.0;
   double endpoint_hit_rate = 0.0;
-  double row_hit_rate = 0.0;
 };
 
 std::int64_t count_distinct(
@@ -136,8 +135,7 @@ bool run_shape(const char* shape, const core::LinkPredictor& predictor,
   base_results.reserve(requests.size());
 
   // Baseline: one fresh-eyes predict_links call per request (warm arena,
-  // per-thread frontier reuse — everything the pre-serving path already had,
-  // but no cross-request state).
+  // one BFS per endpoint per link, no cross-request state).
   std::vector<double> base_ms;
   double base_seconds = 0.0;
   for (const auto& links : requests) {
@@ -198,7 +196,6 @@ bool run_shape(const char* shape, const core::LinkPredictor& predictor,
   const auto s = server.stats();
   row.score_hit_rate = rate(s.score_hits, s.score_misses);
   row.endpoint_hit_rate = rate(s.endpoint_hits, s.endpoint_misses);
-  row.row_hit_rate = rate(s.row_hits, s.row_misses);
 
   std::printf("%-10s links=%5lld distinct=%4lld  baseline %8.1f l/s "
               "(p50 %6.2fms p99 %6.2fms)  serve %8.1f l/s (p50 %6.2fms "
@@ -257,12 +254,12 @@ void write_json(const std::string& path, bool smoke,
         "\"baseline_p99_ms\": %.3f, \"serve_links_per_sec\": %.1f, "
         "\"serve_p50_ms\": %.3f, \"serve_p99_ms\": %.3f, "
         "\"speedup\": %.2f, \"score_hit_rate\": %.3f, "
-        "\"endpoint_hit_rate\": %.3f, \"row_hit_rate\": %.3f}%s\n",
+        "\"endpoint_hit_rate\": %.3f}%s\n",
         r.shape.c_str(), static_cast<long long>(r.links),
         static_cast<long long>(r.distinct), r.base_links_per_sec,
         r.base_p50_ms, r.base_p99_ms, r.serve_links_per_sec, r.serve_p50_ms,
         r.serve_p99_ms, r.speedup, r.score_hit_rate, r.endpoint_hit_rate,
-        r.row_hit_rate, i + 1 < shapes.size() ? "," : "");
+        i + 1 < shapes.size() ? "," : "");
     out << buf;
   }
   out << "  ]\n}\n";

@@ -20,7 +20,6 @@ LinkPredictor::LinkPredictor(const models::LinkGNN& model, Options options)
     : frozen_(model, options.quantize), options_(std::move(options)) {
   if (options_.dataset.num_threads < 0)
     throw std::invalid_argument("LinkPredictor: num_threads must be >= 0");
-  options_.dataset.extract.reuse_frontiers = true;
   if (options_.warm_nodes > 0)
     frozen_.warm_up(arena_, options_.warm_nodes, options_.warm_edges);
 }

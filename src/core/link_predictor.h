@@ -8,9 +8,11 @@
 // batch-wide), and links are independent, so the batch runs on
 // util::parallel_for with the same deterministic pattern as
 // seal::build_samples: probabilities are bit-identical for ANY worker count,
-// including the serial path.  Scores are not cached here: repeated queries
-// against a mutating graph go through serve::Server, whose hull-validated
-// score LRU is the project's one score cache (DESIGN.md §2.5).
+// including the serial path.  Nothing is cached here — every link runs its
+// own BFS, even when a batch shares a source: repeated queries and shared
+// endpoints go through serve::Server, whose hull-validated score and
+// endpoint-frontier LRUs are the project's one score cache and one frontier
+// cache (DESIGN.md §2.5, §2.8).
 #pragma once
 
 #include <cstdint>
@@ -35,9 +37,7 @@ class LinkPredictor {
     /// Extraction / DRNL / feature options plus the worker count, exactly as
     /// used to build the training dataset (the features MUST match what the
     /// model was trained on).  num_threads: 0 = serial, >= 1 = that many
-    /// util::parallel_for workers.  Frontier reuse across links sharing an
-    /// endpoint (graph::ExtractOptions::reuse_frontiers) is always switched
-    /// on: extraction bytes are unchanged, only time.
+    /// util::parallel_for workers.
     seal::SealDatasetOptions dataset;
     /// Warm-up hints: when > 0, the constructor runs one synthetic forward
     /// of this size so the serial arena is right-sized before the first real

@@ -1,7 +1,6 @@
 #include "graph/knowledge_graph.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <stdexcept>
 
@@ -10,11 +9,6 @@ namespace amdgcnn::graph {
 namespace {
 std::int64_t g_id_capacity_override = 0;  // 0 = the real 2^31-1 limit
 }  // namespace
-
-std::uint64_t KnowledgeGraph::next_uid() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
 
 std::int64_t KnowledgeGraph::id_capacity() {
   return g_id_capacity_override > 0

@@ -139,10 +139,6 @@ class KnowledgeGraph {
   }
   /// Pending overlay depth (inserts + tombstones since the last compact).
   std::int64_t overlay_depth() const { return overlay_.depth(); }
-  /// Process-unique instance id, assigned at construction (copies share the
-  /// source's id — a copy is content-identical at equal generation, which is
-  /// exactly the invariant the extraction frontier cache keys on).
-  std::uint64_t uid() const { return uid_; }
   /// True when an edge id refers to a tombstoned (deleted, not yet
   /// compacted) edge; its record stays readable until compact().
   bool edge_removed(EdgeId e) const;
@@ -273,9 +269,6 @@ class KnowledgeGraph {
   // Post-finalize updates: tombstones, patched adjacency, generations.
   DeltaOverlay overlay_;
   bool finalized_ = false;
-
-  static std::uint64_t next_uid();  // atomic counter, starts at 1
-  std::uint64_t uid_ = next_uid();
 };
 
 }  // namespace amdgcnn::graph

@@ -51,61 +51,11 @@ void local_bfs_csr(const std::int32_t* off, const std::int32_t* adj,
 
 // ---- Epoch-kernel per-thread state ------------------------------------------
 
-/// Process-wide frontier-cache counters.  The caches themselves are
-/// per-thread, so aggregate accounting lives here: two relaxed increments
-/// per cached BFS are noise next to the traversal they replace, and every
-/// consumer (LinkPredictor::stats, the serving runtime, the benches) wants
-/// the cross-thread total anyway.
+/// Process-wide frontier-slot counters: two relaxed increments per slotted
+/// BFS are noise next to the traversal they count, and every consumer (the
+/// serving runtime's stats, the benches) wants the cross-thread total.
 std::atomic<std::int64_t> g_frontier_hits{0};
 std::atomic<std::int64_t> g_frontier_misses{0};
-std::atomic<std::int64_t> g_frontier_evictions{0};
-
-/// One cached hop-bounded BFS result: the reached nodes in discovery order
-/// plus their distances.  Keyed on everything that determines the BFS bytes.
-struct FrontierEntry {
-  const KnowledgeGraph* g = nullptr;
-  std::uint64_t uid = 0;         // instance id: guards address reuse
-  std::uint64_t generation = 0;  // mutation counter: guards staleness
-  NodeId source = -1;
-  EdgeId masked_edge = -2;  // -2 = empty slot (-1 is a real "no mask" key)
-  std::int32_t depth = -1;
-  std::uint64_t last_use = 0;
-  std::vector<NodeId> nodes;
-  std::vector<std::int32_t> dist;  // parallel to nodes
-};
-
-/// Tiny per-thread LRU over frontier results.  Eight slots cover the serving
-/// shape (one source node fanned out against a candidate batch) with room
-/// for a couple of interleaved sources.
-class FrontierCache {
- public:
-  FrontierEntry* find(const KnowledgeGraph& g, NodeId source,
-                      EdgeId masked_edge, std::int32_t depth) {
-    for (auto& e : entries_) {
-      if (e.g == &g && e.uid == g.uid() && e.generation == g.generation() &&
-          e.source == source && e.masked_edge == masked_edge &&
-          e.depth == depth) {
-        e.last_use = ++tick_;
-        return &e;
-      }
-    }
-    return nullptr;
-  }
-
-  FrontierEntry& evict_lru() {
-    FrontierEntry* victim = &entries_[0];
-    for (auto& e : entries_)
-      if (e.last_use < victim->last_use) victim = &e;
-    if (victim->masked_edge != -2)  // a filled slot is being overwritten
-      g_frontier_evictions.fetch_add(1, std::memory_order_relaxed);
-    victim->last_use = ++tick_;
-    return *victim;
-  }
-
- private:
-  std::array<FrontierEntry, 8> entries_{};
-  std::uint64_t tick_ = 0;
-};
 
 /// Thread-local scratch for the epoch kernel: visited maps, frontier lists,
 /// the stamped local-id map and local-CSR buffers all persist across links,
@@ -121,7 +71,6 @@ struct ExtractScratch {
   std::uint32_t local_epoch = 0;
   // Local-CSR / DRNL scratch.
   std::vector<std::int32_t> off, ladj, cursor, queue;
-  FrontierCache cache;
 };
 
 ExtractScratch& tls_scratch() {
@@ -329,60 +278,69 @@ void sort_node_ids(std::vector<NodeId>& ids, std::vector<NodeId>& tmp) {
   }
 }
 
-/// Hop-bounded BFS through the per-thread frontier cache: a hit replays the
-/// stored (node, dist) list into the epoch map — same bytes as running the
-/// BFS, minus the traversal.
-void bfs_frontier(const KnowledgeGraph& g, NodeId source, EdgeId masked_edge,
-                  std::int32_t depth, bool use_cache, VisitEpochMap& visit,
-                  std::vector<NodeId>& visited, FrontierCache& cache) {
+/// Hop-bounded BFS of `source` into `visit`, returning the reached nodes in
+/// discovery order.  A filled `slot` is replayed into the epoch map instead
+/// of traversing (same bytes, minus the traversal); an empty one receives a
+/// copy of the traversal.  No slot: a plain traversal into `scratch`.
+const std::vector<NodeId>& bfs_frontier(const KnowledgeGraph& g,
+                                        NodeId source, EdgeId masked_edge,
+                                        std::int32_t depth,
+                                        std::shared_ptr<const Frontier>* slot,
+                                        VisitEpochMap& visit,
+                                        std::vector<NodeId>& scratch) {
   visit.begin(g.num_nodes());
-  if (use_cache) {
-    if (FrontierEntry* hit = cache.find(g, source, masked_edge, depth)) {
-      g_frontier_hits.fetch_add(1, std::memory_order_relaxed);
-      visited.assign(hit->nodes.begin(), hit->nodes.end());
-      for (std::size_t i = 0; i < visited.size(); ++i)
-        visit.set(visited[i], hit->dist[i]);
-      return;
-    }
-    g_frontier_misses.fetch_add(1, std::memory_order_relaxed);
+  if (slot != nullptr && *slot != nullptr) {
+    const Frontier& f = **slot;
+    if (f.source != source || f.depth != depth ||
+        f.nodes.size() != f.dist.size())
+      throw std::invalid_argument(
+          "extract_enclosing_subgraph: frontier slot does not match its "
+          "target and num_hops");
+    g_frontier_hits.fetch_add(1, std::memory_order_relaxed);
+    for (std::size_t i = 0; i < f.nodes.size(); ++i)
+      visit.set(f.nodes[i], f.dist[i]);
+    return f.nodes;
   }
   BfsOptions opts;
   opts.max_depth = depth;
   opts.masked_edge = masked_edge;
-  bfs_distances_epoch(g, source, opts, visit, visited);
-  if (use_cache) {
-    FrontierEntry& slot = cache.evict_lru();
-    slot.g = &g;
-    slot.uid = g.uid();
-    slot.generation = g.generation();
-    slot.source = source;
-    slot.masked_edge = masked_edge;
-    slot.depth = depth;
-    slot.nodes.assign(visited.begin(), visited.end());
-    slot.dist.resize(visited.size());
-    for (std::size_t i = 0; i < visited.size(); ++i)
-      slot.dist[i] = visit.distance(visited[i]);
+  bfs_distances_epoch(g, source, opts, visit, scratch);
+  if (slot != nullptr) {
+    g_frontier_misses.fetch_add(1, std::memory_order_relaxed);
+    auto f = std::make_shared<Frontier>();
+    f->source = source;
+    f->depth = depth;
+    f->nodes = scratch;
+    f->dist.resize(scratch.size());
+    for (std::size_t i = 0; i < scratch.size(); ++i)
+      f->dist[i] = visit.distance(scratch[i]);
+    *slot = std::move(f);
   }
+  return scratch;
 }
 
 /// Default kernel: epoch-stamped visited maps — per-link cost follows the
 /// touched subgraph, not the graph (DESIGN.md §2.6).
 EnclosingSubgraph extract_epoch(const KnowledgeGraph& g, NodeId a, NodeId b,
                                 const ExtractOptions& options,
-                                EdgeId masked_edge) {
+                                EdgeId masked_edge,
+                                std::shared_ptr<const Frontier>* frontier_a,
+                                std::shared_ptr<const Frontier>* frontier_b) {
   auto& s = tls_scratch();
-  bfs_frontier(g, a, masked_edge, options.num_hops, options.reuse_frontiers,
-               s.da, s.va, s.cache);
-  bfs_frontier(g, b, masked_edge, options.num_hops, options.reuse_frontiers,
-               s.db, s.vb, s.cache);
+  // A masked traversal is specific to this link: never replay or fill.
+  if (masked_edge >= 0) frontier_a = frontier_b = nullptr;
+  const auto& va = bfs_frontier(g, a, masked_edge, options.num_hops,
+                                frontier_a, s.da, s.va);
+  const auto& vb = bfs_frontier(g, b, masked_edge, options.num_hops,
+                                frontier_b, s.db, s.vb);
 
   // Sorted union of the two frontiers minus the targets: ascending node id
   // reproduces the legacy kernel's 0..N candidate scan byte-for-byte while
   // only touching the nodes actually reached.
   s.merged.clear();
-  for (const NodeId v : s.va)
+  for (const NodeId v : va)
     if (v != a && v != b) s.merged.push_back(v);
-  for (const NodeId v : s.vb)
+  for (const NodeId v : vb)
     if (v != a && v != b && !s.da.visited(v)) s.merged.push_back(v);
   sort_node_ids(s.merged, s.sort_tmp);
 
@@ -412,9 +370,10 @@ EnclosingSubgraph extract_epoch(const KnowledgeGraph& g, NodeId a, NodeId b,
 
 }  // namespace
 
-EnclosingSubgraph extract_enclosing_subgraph(const KnowledgeGraph& g, NodeId a,
-                                             NodeId b,
-                                             const ExtractOptions& options) {
+EnclosingSubgraph extract_enclosing_subgraph(
+    const KnowledgeGraph& g, NodeId a, NodeId b, const ExtractOptions& options,
+    std::shared_ptr<const Frontier>* frontier_a,
+    std::shared_ptr<const Frontier>* frontier_b) {
   if (a == b)
     throw std::invalid_argument("extract_enclosing_subgraph: a == b");
   if (options.num_hops < 1)
@@ -424,53 +383,15 @@ EnclosingSubgraph extract_enclosing_subgraph(const KnowledgeGraph& g, NodeId a,
   const EdgeId masked_edge = g.find_edge(a, b);
   return options.clear_per_link
              ? extract_clear_per_link(g, a, b, options, masked_edge)
-             : extract_epoch(g, a, b, options, masked_edge);
-}
-
-bool export_cached_frontier(const KnowledgeGraph& g, NodeId source,
-                            EdgeId masked_edge, std::int32_t depth,
-                            std::vector<NodeId>& nodes,
-                            std::vector<std::int32_t>& dist) {
-  FrontierEntry* e = tls_scratch().cache.find(g, source, masked_edge, depth);
-  if (e == nullptr) return false;
-  nodes = e->nodes;
-  dist = e->dist;
-  return true;
-}
-
-void seed_frontier_cache(const KnowledgeGraph& g, NodeId source,
-                         EdgeId masked_edge, std::int32_t depth,
-                         const std::vector<NodeId>& nodes,
-                         const std::vector<std::int32_t>& dist) {
-  if (nodes.size() != dist.size())
-    throw std::invalid_argument(
-        "seed_frontier_cache: nodes/dist length mismatch");
-  auto& cache = tls_scratch().cache;
-  if (cache.find(g, source, masked_edge, depth) != nullptr)
-    return;  // already resident (find refreshed its LRU stamp)
-  FrontierEntry& slot = cache.evict_lru();
-  slot.g = &g;
-  slot.uid = g.uid();
-  slot.generation = g.generation();
-  slot.source = source;
-  slot.masked_edge = masked_edge;
-  slot.depth = depth;
-  slot.nodes = nodes;
-  slot.dist = dist;
+             : extract_epoch(g, a, b, options, masked_edge, frontier_a,
+                             frontier_b);
 }
 
 FrontierCacheStats frontier_cache_stats() {
   FrontierCacheStats s;
   s.hits = g_frontier_hits.load(std::memory_order_relaxed);
   s.misses = g_frontier_misses.load(std::memory_order_relaxed);
-  s.evictions = g_frontier_evictions.load(std::memory_order_relaxed);
   return s;
-}
-
-void reset_frontier_cache_stats() {
-  g_frontier_hits.store(0, std::memory_order_relaxed);
-  g_frontier_misses.store(0, std::memory_order_relaxed);
-  g_frontier_evictions.store(0, std::memory_order_relaxed);
 }
 
 KnowledgeGraph materialize_subgraph(const KnowledgeGraph& g,

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "graph/knowledge_graph.h"
@@ -39,7 +40,7 @@ struct EnclosingSubgraph {
   /// two targets.  Only filled when ExtractOptions::collect_hull is set.
   /// Any graph mutation that can change this subgraph must touch a hull
   /// node, so caches key their invalidation on hull generations
-  /// (core::LinkPredictor, DESIGN.md §2.5).
+  /// (serve::Server's score LRU, DESIGN.md §2.5).
   std::vector<NodeId> hull;
 
   std::int64_t num_nodes() const {
@@ -67,62 +68,46 @@ struct ExtractOptions {
   /// bench_extraction_throughput.  Both kernels are bit-identical in output;
   /// this flag exists as the bench baseline and a determinism cross-check.
   bool clear_per_link = false;
-  /// Reuse hop-bounded BFS frontiers across links sharing an endpoint via a
-  /// small per-thread cache keyed on (graph uid, generation, source, masked
-  /// edge, depth) — the shape of predict_links candidate batches, where
-  /// every link shares the source node and no masked edge.  Affects speed
-  /// only, never bytes.  Ignored by the clear_per_link kernel.
-  bool reuse_frontiers = false;
+};
+
+/// One hop-bounded BFS from `source` with no masked edge: the reached nodes
+/// in discovery order (source first) and their distances.  It depends only
+/// on (source, depth) and the graph's adjacency, so one traversal serves
+/// every link out of `source` until a node in `nodes` is mutated — the
+/// serving runtime keys its endpoint LRU on exactly that (DESIGN.md §2.8).
+struct Frontier {
+  NodeId source = -1;
+  std::int32_t depth = 0;
+  std::vector<NodeId> nodes;
+  std::vector<std::int32_t> dist;  // parallel to nodes
 };
 
 /// Extract the enclosing subgraph of (a, b).  Requires a != b.  The returned
 /// subgraph always contains both targets, even if they fall outside each
 /// other's k-hop neighborhood (they then appear isolated, DRNL gives
 /// unreachable nodes label 0 downstream).
-EnclosingSubgraph extract_enclosing_subgraph(const KnowledgeGraph& g, NodeId a,
-                                             NodeId b,
-                                             const ExtractOptions& options);
+///
+/// `frontier_a` / `frontier_b` are optional frontier slots for the two
+/// targets.  When the link (a, b) is absent from the graph, a filled slot is
+/// replayed instead of running that target's BFS, and an empty one receives
+/// the traversal.  A replayed frontier must have been traversed for the same
+/// target and options.num_hops (std::invalid_argument otherwise) on the
+/// graph as it is now — the caller owns staleness.  When the link exists it
+/// is masked out of both traversals, which makes them specific to this link,
+/// so the slots are left untouched; the clear_per_link kernel ignores them
+/// too.  The bytes are the same with and without slots.
+EnclosingSubgraph extract_enclosing_subgraph(
+    const KnowledgeGraph& g, NodeId a, NodeId b, const ExtractOptions& options,
+    std::shared_ptr<const Frontier>* frontier_a = nullptr,
+    std::shared_ptr<const Frontier>* frontier_b = nullptr);
 
-// ---- Frontier-cache hooks (serving runtime, DESIGN.md §2.8) -----------------
-//
-// The per-thread frontier cache behind ExtractOptions::reuse_frontiers keeps
-// only eight slots — enough for one candidate batch fanned out from a shared
-// source, but not for endpoints recurring across requests.  The serving
-// layer maintains a larger cross-query LRU (serve::Server) and moves entries
-// in and out of the calling thread's cache through these two hooks.  Both
-// sides of the transfer carry the exact BFS bytes (node list in discovery
-// order plus parallel distances), so a seeded hit replays the same subgraph
-// a fresh traversal would produce, bit for bit.
-
-/// Copy this thread's cached hop-bounded frontier for (source, masked_edge,
-/// depth) on `g` (current generation) into `nodes`/`dist`.  Returns false —
-/// leaving the outputs untouched — when the slot is absent or stale.  Does
-/// not count toward FrontierCacheStats (it is an export, not a query).
-bool export_cached_frontier(const KnowledgeGraph& g, NodeId source,
-                            EdgeId masked_edge, std::int32_t depth,
-                            std::vector<NodeId>& nodes,
-                            std::vector<std::int32_t>& dist);
-
-/// Install a frontier into this thread's cache (evicting LRU) so the next
-/// extraction of a link touching `source` replays it instead of traversing.
-/// `nodes`/`dist` must be a frontier previously produced for the same
-/// (graph uid, generation, source, masked_edge, depth) key — the hook trusts
-/// the caller, exactly like a cache slot trusts its own fill.
-void seed_frontier_cache(const KnowledgeGraph& g, NodeId source,
-                         EdgeId masked_edge, std::int32_t depth,
-                         const std::vector<NodeId>& nodes,
-                         const std::vector<std::int32_t>& dist);
-
-/// Process-wide frontier-cache counters (relaxed atomics summed over every
-/// thread's cache; reset with reset_frontier_cache_stats).  `evictions`
-/// counts filled slots that were overwritten, seeds included.
+/// Process-wide frontier-slot counters (relaxed atomics): `hits` counts
+/// slots replayed, `misses` slots filled by a traversal.
 struct FrontierCacheStats {
   std::int64_t hits = 0;
   std::int64_t misses = 0;
-  std::int64_t evictions = 0;
 };
 FrontierCacheStats frontier_cache_stats();
-void reset_frontier_cache_stats();
 
 /// Materialise an enclosing subgraph as a standalone KnowledgeGraph with
 /// local node ids (types, relation types and attribute tables preserved).

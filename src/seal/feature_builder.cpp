@@ -1,46 +1,11 @@
 #include "seal/feature_builder.h"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 #include "seal/drnl.h"
 
 namespace amdgcnn::seal {
-
-/// Typed access to NodeRowCache internals for the fill kernel below: binds
-/// the cache to (graph, tail width, dtype) and hands out row slots.  A
-/// dtype/graph/width change wipes the rows — the bytes would not match.
-template <typename T>
-struct NodeRowCacheAccess {
-  static void bind(NodeRowCache& c, const graph::KnowledgeGraph& g,
-                   std::int64_t tail_elems) {
-    const std::int64_t bytes =
-        tail_elems * static_cast<std::int64_t>(sizeof(T));
-    if (c.uid_ != g.uid() || c.row_bytes_ != bytes) {
-      c.rows_.clear();
-      c.uid_ = g.uid();
-      c.row_bytes_ = bytes;
-    }
-  }
-
-  /// Serve node `v`'s row tail into `tail` when cached (returns true), or
-  /// return false so the caller computes it and then calls store().
-  static bool load(NodeRowCache& c, graph::NodeId v, T* tail) {
-    const auto it = c.rows_.find(v);
-    if (it == c.rows_.end()) return false;
-    std::memcpy(tail, it->second.data(), it->second.size());
-    ++c.stats_.hits;
-    return true;
-  }
-
-  static void store(NodeRowCache& c, graph::NodeId v, const T* tail) {
-    auto& row = c.rows_[v];
-    row.resize(static_cast<std::size_t>(c.row_bytes_));
-    std::memcpy(row.data(), tail, row.size());
-    ++c.stats_.misses;
-  }
-};
 
 std::int64_t node_feature_dim(const graph::KnowledgeGraph& g,
                               const FeatureOptions& options) {
@@ -64,18 +29,9 @@ template <typename T>
 void fill_sample_tensors(const graph::KnowledgeGraph& g,
                          const graph::EnclosingSubgraph& sub,
                          const FeatureOptions& options, std::int64_t n,
-                         std::int64_t f, SubgraphSample& sample,
-                         NodeRowCache* row_cache) {
+                         std::int64_t f, SubgraphSample& sample) {
   // ---- Node features -------------------------------------------------------
-  // Each row is [DRNL one-hot | tail], where the tail (node-type one-hot,
-  // explicit features, embedding slice) depends only on the original node —
-  // with a NodeRowCache, repeated nodes across the links of a candidate
-  // batch memcpy their tail instead of re-gathering it.
   const auto labels = drnl_labels(sub);
-  const std::int64_t drnl_w = options.use_drnl ? options.max_drnl_label + 1 : 0;
-  const std::int64_t tail_w = f - drnl_w;
-  if (row_cache != nullptr && tail_w > 0)
-    NodeRowCacheAccess<T>::bind(*row_cache, g, tail_w);
   std::vector<T> feat(static_cast<std::size_t>(n * f), T(0));
   for (std::int64_t i = 0; i < n; ++i) {
     std::int64_t off = 0;
@@ -83,12 +39,8 @@ void fill_sample_tensors(const graph::KnowledgeGraph& g,
       const std::int64_t l =
           std::min<std::int64_t>(labels[i], options.max_drnl_label);
       feat[i * f + off + l] = T(1);
-      off += drnl_w;
+      off += options.max_drnl_label + 1;
     }
-    T* tail = feat.data() + i * f + off;
-    if (row_cache != nullptr && tail_w > 0 &&
-        NodeRowCacheAccess<T>::load(*row_cache, sub.nodes[i], tail))
-      continue;
     if (options.use_node_type) {
       feat[i * f + off + g.node_type(sub.nodes[i])] = T(1);
       off += g.num_node_types();
@@ -109,8 +61,6 @@ void fill_sample_tensors(const graph::KnowledgeGraph& g,
                      feat.begin() + i * f + off,
                      [](double v) { return static_cast<T>(v); });
     }
-    if (row_cache != nullptr && tail_w > 0)
-      NodeRowCacheAccess<T>::store(*row_cache, sub.nodes[i], tail);
   }
   sample.node_feat = ag::Tensor::from_data({n, f}, std::move(feat));
 
@@ -139,8 +89,7 @@ void fill_sample_tensors(const graph::KnowledgeGraph& g,
 
 SubgraphSample build_sample(const graph::KnowledgeGraph& g,
                             const graph::EnclosingSubgraph& sub,
-                            std::int32_t label, const FeatureOptions& options,
-                            NodeRowCache* row_cache) {
+                            std::int32_t label, const FeatureOptions& options) {
   if (options.max_drnl_label < 1)
     throw std::invalid_argument("build_sample: max_drnl_label must be >= 1");
   if (options.embedding_dim > 0 &&
@@ -157,9 +106,9 @@ SubgraphSample build_sample(const graph::KnowledgeGraph& g,
   sample.num_nodes = n;
   sample.label = label;
   if (options.dtype == ag::Dtype::f32)
-    fill_sample_tensors<float>(g, sub, options, n, f, sample, row_cache);
+    fill_sample_tensors<float>(g, sub, options, n, f, sample);
   else
-    fill_sample_tensors<double>(g, sub, options, n, f, sample, row_cache);
+    fill_sample_tensors<double>(g, sub, options, n, f, sample);
   return sample;
 }
 

@@ -12,10 +12,7 @@
 // attribute vector from the knowledge graph.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/knowledge_graph.h"
@@ -57,53 +54,9 @@ struct SubgraphSample {
   std::int32_t label = 0;
 };
 
-/// Cross-link cache of the DRNL-independent tail of a node's feature row —
-/// the node-type one-hot, explicit features and embedding slice, everything
-/// after the per-link DRNL one-hot (serving runtime, DESIGN.md §2.8).  Those
-/// entries depend only on the original node and the FeatureOptions, never on
-/// the link being scored, and edge mutations cannot touch them, so a row is
-/// valid for the graph instance's whole lifetime.  Rows are stored as the
-/// raw bytes written into the sample tensor, so a hit memcpy's exactly what
-/// recomputation would produce — build_sample with and without a cache is
-/// bit-identical (asserted by the serve test suite).
-///
-/// One cache serves one (graph, FeatureOptions, dtype) combination at a
-/// time; build_sample rebinds (wiping the rows) when any of those change.
-/// Not thread-safe: give each worker its own instance.
-class NodeRowCache {
- public:
-  struct Stats {
-    std::int64_t hits = 0;
-    std::int64_t misses = 0;
-  };
-
-  const Stats& stats() const { return stats_; }
-  std::size_t size() const { return rows_.size(); }
-  void clear() {
-    rows_.clear();
-    uid_ = 0;
-  }
-
- private:
-  friend SubgraphSample build_sample(const graph::KnowledgeGraph&,
-                                     const graph::EnclosingSubgraph&,
-                                     std::int32_t, const FeatureOptions&,
-                                     NodeRowCache*);
-  template <typename T>
-  friend struct NodeRowCacheAccess;
-
-  std::uint64_t uid_ = 0;         // bound graph (0 = unbound)
-  std::int64_t row_bytes_ = -1;   // suffix width in bytes at the bound dtype
-  std::unordered_map<graph::NodeId, std::vector<std::byte>> rows_;
-  Stats stats_;
-};
-
-/// Build the tensors for one extracted subgraph.  `row_cache`, when given,
-/// reuses the DRNL-independent feature-row tails across calls (see
-/// NodeRowCache); output bytes are identical either way.
+/// Build the tensors for one extracted subgraph.
 SubgraphSample build_sample(const graph::KnowledgeGraph& g,
                             const graph::EnclosingSubgraph& sub,
-                            std::int32_t label, const FeatureOptions& options,
-                            NodeRowCache* row_cache = nullptr);
+                            std::int32_t label, const FeatureOptions& options);
 
 }  // namespace amdgcnn::seal

@@ -22,9 +22,9 @@ namespace amdgcnn::serve {
 template <typename K, typename V, typename Hash = std::hash<K>>
 class LruCache {
  public:
-  /// `capacity` >= 1; insert() evicts the least-recently-used entry once
-  /// size would exceed it.
-  explicit LruCache(std::size_t capacity) : capacity_(capacity ? capacity : 1) {}
+  /// insert() evicts the least-recently-used entry once size would exceed
+  /// `capacity` (the Server rejects 0 before building one).
+  explicit LruCache(std::size_t capacity) : capacity_(capacity) {}
 
   /// Pointer to the value (refreshing its recency), or nullptr.  The pointer
   /// is valid until the next insert()/erase().

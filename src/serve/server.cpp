@@ -38,6 +38,16 @@ bool members_live(const graph::KnowledgeGraph& g,
   return true;
 }
 
+const ServerOptions& validated(const ServerOptions& o) {
+  if (o.queue_capacity < 1)
+    throw ServeError("Server: queue_capacity must be >= 1");
+  if (o.score_cache_capacity < 1)
+    throw ServeError("Server: score_cache_capacity must be >= 1");
+  if (o.endpoint_cache_capacity < 1)
+    throw ServeError("Server: endpoint_cache_capacity must be >= 1");
+  return o;
+}
+
 }  // namespace
 
 struct Server::Impl {
@@ -48,12 +58,7 @@ struct Server::Impl {
   };
   struct FrontierEntry {
     std::uint64_t generation = 0;
-    std::vector<graph::NodeId> nodes;    // BFS discovery order
-    std::vector<std::int32_t> dist;      // parallel to nodes
-  };
-  struct Worker {
-    infer::Arena arena;
-    seal::NodeRowCache rows;
+    std::shared_ptr<const graph::Frontier> frontier;  // nodes: validation set
   };
 
   explicit Impl(const ServerOptions& o)
@@ -69,26 +74,24 @@ struct Server::Impl {
   std::int64_t endpoint_misses = 0;
   std::int64_t endpoint_invalidated = 0;
 
-  // Layer 3 — one per worker, touched only by its owner.
-  std::vector<std::unique_ptr<Worker>> workers;
+  // One warm arena per worker, touched only by its owner.
+  std::vector<std::unique_ptr<infer::Arena>> arenas;
 };
 
 Server::Server(const core::LinkPredictor& predictor,
                const graph::KnowledgeGraph& graph, ServerOptions options)
     : predictor_(predictor),
       graph_(graph),
-      options_(options),
+      options_(validated(options)),
       impl_(std::make_unique<Impl>(options_)),
       pool_(std::make_unique<util::WorkerPool>(options_.num_workers)) {
-  if (options_.queue_capacity < 1)
-    throw ServeError("Server: queue_capacity must be >= 1");
   const auto& po = predictor_.options();
-  impl_->workers.reserve(static_cast<std::size_t>(options_.num_workers));
+  impl_->arenas.reserve(static_cast<std::size_t>(options_.num_workers));
   for (int w = 0; w < options_.num_workers; ++w) {
-    auto state = std::make_unique<Impl::Worker>();
+    auto arena = std::make_unique<infer::Arena>();
     if (po.warm_nodes > 0)
-      predictor_.frozen().warm_up(state->arena, po.warm_nodes, po.warm_edges);
-    impl_->workers.push_back(std::move(state));
+      predictor_.frozen().warm_up(*arena, po.warm_nodes, po.warm_edges);
+    impl_->arenas.push_back(std::move(arena));
   }
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
@@ -197,26 +200,24 @@ core::LinkPredictions Server::process(
   for (std::int64_t k = 0; k < d; ++k) {
     const auto key = pair_key(distinct[static_cast<std::size_t>(k)].link.a,
                               distinct[static_cast<std::size_t>(k)].link.b);
-    if (options_.score_cache) {
-      if (auto* entry = impl_->scores.find(key)) {
-        if (members_live(graph_, entry->hull, entry->generation)) {
-          std::copy(entry->proba.begin(), entry->proba.end(),
-                    rows.begin() + k * c);
-          ++score_hits;
-          continue;
-        }
-        impl_->scores.erase(key);
-        ++score_invalidated;
+    if (auto* entry = impl_->scores.find(key)) {
+      if (members_live(graph_, entry->hull, entry->generation)) {
+        std::copy(entry->proba.begin(), entry->proba.end(),
+                  rows.begin() + k * c);
+        ++score_hits;
+        continue;
       }
-      ++score_misses;
+      impl_->scores.erase(key);
+      ++score_invalidated;
     }
+    ++score_misses;
     miss.push_back(k);
   }
 
   // Endpoint groups over the misses: all links fanning out of one source
-  // node score back to back on one worker, so its per-thread frontier cache
-  // runs the source BFS once per group (DESIGN.md §2.6) and its node-row
-  // cache reuses feature tails across the overlapping subgraphs.
+  // node score back to back on one worker, so the source BFS runs (or is
+  // fetched from the endpoint LRU) once per group and every later link of
+  // the group replays it.
   std::vector<std::vector<std::int64_t>> groups;
   {
     std::unordered_map<graph::NodeId, std::size_t> group_of;
@@ -232,6 +233,7 @@ core::LinkPredictions Server::process(
   // Failures are collected by the lowest failing *input* index, not the
   // group index, so a bad batch reports the same link on every run and any
   // worker count.  A failure aborts its group; other groups complete.
+  const std::uint64_t generation = graph_.generation();
   util::WorkerErrorCollector errors;
   if (!groups.empty()) {
     const auto& ds = predictor_.options().dataset;
@@ -239,54 +241,36 @@ core::LinkPredictions Server::process(
     extract_opts.collect_hull = true;
     const std::int32_t depth = extract_opts.num_hops;
 
-    // Move a hull-validated frontier from the shared LRU into the calling
-    // worker's per-thread cache (a no-op miss otherwise)...
-    const auto seed = [&](graph::NodeId source) {
-      std::vector<graph::NodeId> nodes;
-      std::vector<std::int32_t> dist;
-      {
-        const std::lock_guard<std::mutex> lock(impl_->frontier_mu);
-        auto* entry = impl_->frontiers.find(endpoint_key(source, depth));
-        if (entry == nullptr) {
-          ++impl_->endpoint_misses;
-          return;
-        }
-        if (!members_live(graph_, entry->nodes, entry->generation)) {
-          impl_->frontiers.erase(endpoint_key(source, depth));
-          ++impl_->endpoint_invalidated;
-          ++impl_->endpoint_misses;
-          return;
-        }
-        nodes = entry->nodes;
-        dist = entry->dist;
-        ++impl_->endpoint_hits;
-      }
-      graph::seed_frontier_cache(graph_, source, /*masked_edge=*/-1, depth,
-                                 nodes, dist);
-    };
-    // ...and publish a freshly traversed frontier back to the shared LRU.
-    const auto publish = [&](graph::NodeId source) {
-      std::vector<graph::NodeId> nodes;
-      std::vector<std::int32_t> dist;
-      if (!graph::export_cached_frontier(graph_, source, /*masked_edge=*/-1,
-                                         depth, nodes, dist))
-        return;
-      const std::lock_guard<std::mutex> lock(impl_->frontier_mu);
+    // A live frontier for `source` from the shared LRU, or null...
+    const auto lookup = [&](graph::NodeId source)
+        -> std::shared_ptr<const graph::Frontier> {
       const auto key = endpoint_key(source, depth);
+      const std::lock_guard<std::mutex> lock(impl_->frontier_mu);
+      if (auto* entry = impl_->frontiers.find(key)) {
+        if (members_live(graph_, entry->frontier->nodes, entry->generation)) {
+          ++impl_->endpoint_hits;
+          return entry->frontier;
+        }
+        impl_->frontiers.erase(key);
+        ++impl_->endpoint_invalidated;
+      }
+      ++impl_->endpoint_misses;
+      return nullptr;
+    };
+    // ...and a freshly traversed one published back (another worker's
+    // entry for the same key holds the same bytes and wins).
+    const auto publish = [&](std::shared_ptr<const graph::Frontier> frontier) {
+      const auto key = endpoint_key(frontier->source, depth);
+      const std::lock_guard<std::mutex> lock(impl_->frontier_mu);
       if (impl_->frontiers.find(key) != nullptr) return;
-      Impl::FrontierEntry entry;
-      entry.generation = graph_.generation();
-      entry.nodes = std::move(nodes);
-      entry.dist = std::move(dist);
-      impl_->frontiers.insert(key, std::move(entry));
+      impl_->frontiers.insert(key, {generation, std::move(frontier)});
     };
 
     const util::WorkerPool::WorkFn fn = [&](std::int64_t gi, int w) {
-      auto& worker = *impl_->workers[static_cast<std::size_t>(w)];
-      seal::NodeRowCache* row_cache =
-          options_.reuse_feature_rows ? &worker.rows : nullptr;
+      auto& arena = *impl_->arenas[static_cast<std::size_t>(w)];
       const auto& group = groups[static_cast<std::size_t>(gi)];
-      bool source_seeded = false;
+      std::shared_ptr<const graph::Frontier> source;
+      bool source_looked_up = false;
       for (const auto k : group) {
         const auto& item = distinct[static_cast<std::size_t>(k)];
         try {
@@ -295,28 +279,29 @@ core::LinkPredictions Server::process(
               link.b >= graph_.num_nodes())
             throw std::invalid_argument(
                 "serve::Server: link node id out of range");
-          // The shared frontier layer only holds unmasked traversals; a
-          // candidate that is an existing edge masks it out of both BFS
-          // runs, so its frontiers are link-specific and bypass the cache.
-          const bool unmasked = graph_.find_edge(link.a, link.b) < 0;
-          if (options_.endpoint_cache && unmasked) {
-            if (!source_seeded) {
-              seed(link.a);
-              source_seeded = true;
+          // The endpoint LRU only holds unmasked traversals; a candidate
+          // that is an existing edge masks it out of both BFS runs, so its
+          // frontiers are link-specific and the extraction leaves the slots
+          // alone.
+          std::shared_ptr<const graph::Frontier> dest;
+          if (graph_.find_edge(link.a, link.b) < 0) {
+            if (!source_looked_up) {
+              source = lookup(link.a);
+              source_looked_up = true;
             }
-            seed(link.b);
+            dest = lookup(link.b);
           }
-          auto sub = graph::extract_enclosing_subgraph(graph_, link.a, link.b,
-                                                       extract_opts);
-          const auto sample = seal::build_sample(graph_, sub, link.label,
-                                                 ds.features, row_cache);
-          predictor_.frozen().predict_proba(sample, worker.arena,
+          const bool had_source = source != nullptr;
+          const bool had_dest = dest != nullptr;
+          auto sub = graph::extract_enclosing_subgraph(
+              graph_, link.a, link.b, extract_opts, &source, &dest);
+          const auto sample =
+              seal::build_sample(graph_, sub, link.label, ds.features);
+          predictor_.frozen().predict_proba(sample, arena,
                                             rows.data() + k * c);
           hulls[static_cast<std::size_t>(k)] = std::move(sub.hull);
-          if (options_.endpoint_cache && unmasked) {
-            publish(link.a);
-            publish(link.b);
-          }
+          if (!had_source && source != nullptr) publish(source);
+          if (!had_dest && dest != nullptr) publish(std::move(dest));
         } catch (...) {
           errors.capture(item.first_input);
           return;  // abort this group; the request fails after the join
@@ -329,18 +314,15 @@ core::LinkPredictions Server::process(
   errors.rethrow("serve::score_batch");
 
   // ---- Admit, fan out, count (serial; the pool has joined) ---------------
-  if (options_.score_cache) {
-    const std::uint64_t generation = graph_.generation();
-    for (const auto k : miss) {
-      Impl::ScoreEntry entry;
-      entry.proba.assign(rows.begin() + k * c, rows.begin() + (k + 1) * c);
-      entry.hull = std::move(hulls[static_cast<std::size_t>(k)]);
-      entry.generation = generation;
-      impl_->scores.insert(
-          pair_key(distinct[static_cast<std::size_t>(k)].link.a,
-                   distinct[static_cast<std::size_t>(k)].link.b),
-          std::move(entry));
-    }
+  for (const auto k : miss) {
+    Impl::ScoreEntry entry;
+    entry.proba.assign(rows.begin() + k * c, rows.begin() + (k + 1) * c);
+    entry.hull = std::move(hulls[static_cast<std::size_t>(k)]);
+    entry.generation = generation;
+    impl_->scores.insert(
+        pair_key(distinct[static_cast<std::size_t>(k)].link.a,
+                 distinct[static_cast<std::size_t>(k)].link.b),
+        std::move(entry));
   }
   for (std::int64_t i = 0; i < n; ++i) {
     const auto k = dup_of[static_cast<std::size_t>(i)];
@@ -366,13 +348,6 @@ core::LinkPredictions Server::process(
       stats_.endpoint_invalidated = impl_->endpoint_invalidated;
       stats_.endpoint_evictions = impl_->frontiers.evictions();
     }
-    std::int64_t row_hits = 0, row_misses = 0;
-    for (const auto& worker : impl_->workers) {
-      row_hits += worker->rows.stats().hits;    // safe: the pool has joined
-      row_misses += worker->rows.stats().misses;
-    }
-    stats_.row_hits = row_hits;
-    stats_.row_misses = row_misses;
   }
   return result;
 }

@@ -7,23 +7,21 @@
 // submission queue into a dispatcher thread, which plans each batch
 // serially (dedup + score-cache probe + endpoint grouping), fans the cache
 // misses out over a persistent util::WorkerPool with itself as worker 0 —
-// every worker owns a warm inference arena, its own node-row cache and the
-// thread-local extraction scratch that survives across requests — and
-// assembles results in input order.  Three cache layers amortise repeated
-// work across queries:
+// every worker owns a warm inference arena and the thread-local extraction
+// scratch survives across requests — and assembles results in input order.
+// Two cache layers amortise repeated work across queries:
 //
 //   1. score LRU    — (a, b) -> probability row, validated against the
 //                     hop-hull node generations (DESIGN.md §2.5): a hit is
 //                     bit-identical to recompute.  This is the project's one
 //                     score cache; score_batch() reaches it synchronously.
-//   2. endpoint LRU — endpoint -> hop-bounded BFS frontier (nodes + dists),
-//                     hull-validated the same way; hits are seeded into the
-//                     claiming worker's per-thread frontier cache so the
-//                     extraction replays the stored traversal.  Repeated
-//                     endpoints across requests skip their BFS entirely.
-//   3. node-row     — per-worker cache of the DRNL-independent feature-row
-//                     tails (seal::NodeRowCache); nodes shared between the
-//                     links of a group memcpy their rows.
+//   2. endpoint LRU — endpoint -> hop-bounded BFS frontier
+//                     (graph::Frontier), validated the same way against its
+//                     node generations.  Extraction replays a hit through
+//                     its frontier slots instead of traversing, and a group
+//                     of links out of one source replays that source's
+//                     frontier for every link after the first.  This is the
+//                     project's one frontier cache.
 //
 // Every layer preserves bytes, so a batch scored through the Server is
 // bit-identical to the serial cold predict_links path per quantization
@@ -64,14 +62,10 @@ struct ServerOptions {
   int num_workers = 1;
   /// Pending-request cap; submit() blocks once the queue is full.
   std::size_t queue_capacity = 16;
-  /// Layer 1: cross-query (a, b) -> probability-row LRU.
-  bool score_cache = true;
+  /// Layer 1: cross-query (a, b) -> probability-row LRU entries.
   std::size_t score_cache_capacity = 1 << 16;
-  /// Layer 2: cross-query endpoint -> BFS-frontier LRU.
-  bool endpoint_cache = true;
+  /// Layer 2: cross-query endpoint -> BFS-frontier LRU entries.
   std::size_t endpoint_cache_capacity = 4096;
-  /// Layer 3: per-worker feature-row-tail reuse (seal::NodeRowCache).
-  bool reuse_feature_rows = true;
 };
 
 /// Cumulative counters since construction; see the cache layering above.
@@ -90,7 +84,9 @@ struct ServerStats {
   std::int64_t endpoint_misses = 0;
   std::int64_t endpoint_invalidated = 0;
   std::int64_t endpoint_evictions = 0;
-  std::int64_t row_hits = 0;   // node-row tails served from worker caches
+  /// Always 0: the node-row cache they counted is gone.  Kept until the
+  /// repository benchmark stops reading them.
+  std::int64_t row_hits = 0;
   std::int64_t row_misses = 0;
 };
 
@@ -99,6 +95,8 @@ class Server {
   /// Binds `predictor` and `graph` (both borrowed; they must outlive the
   /// Server).  Each pool worker gets an arena pre-warmed to the predictor's
   /// warm_nodes/warm_edges hint so first queries never grow mid-pass.
+  /// Throws ServeError when num_workers < 1 or when queue_capacity or either
+  /// cache capacity is 0.
   Server(const core::LinkPredictor& predictor,
          const graph::KnowledgeGraph& graph, ServerOptions options = {});
   ~Server();  // implies shutdown()

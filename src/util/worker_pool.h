@@ -18,8 +18,8 @@
 // spinner yields its core every few microseconds, so it never keeps a
 // runnable thread (the Server's client, another process) off the CPU.
 // Threads stay alive for the pool's lifetime, so everything a worker owns —
-// its inference arena, its tensor buffer pool, its extraction scratch and
-// thread-local frontier cache — stays warm from one job to the next.
+// its inference arena, its tensor buffer pool and its extraction scratch —
+// stays warm from one job to the next.
 #pragma once
 
 #include <atomic>

@@ -481,7 +481,8 @@ TEST(DynamicGraphThreads, PredictLinksBitIdenticalOverOverlayGraph) {
   const auto serial = fx.predictor(0).predict_links(g, links);
   for (std::int64_t nt : {1, 4}) {
     const auto predictor = fx.predictor(nt);
-    // Two passes so the second replays frontiers from the workers' caches.
+    // Two passes: the second runs on the workers' warm extraction scratch
+    // and arenas, which must not leak state from the first.
     predictor.predict_links(g, links);
     expect_proba_bitwise_equal(predictor.predict_links(g, links), serial,
                                "num_threads=" + std::to_string(nt));

@@ -10,19 +10,21 @@
 //   * SnapshotErrors — the format is fail-closed: unfinalized/pending
 //     overlay saves, bad magic, truncation and missing files all raise
 //     typed errors instead of serving garbage views.
-//   * EpochExtraction — the per-thread visited-epoch kernel (and the
-//     frontier cache on top of it) is bit-identical to the legacy
-//     clear-per-link kernel on randomized graphs, static and mutated.
+//   * EpochExtraction — the per-thread visited-epoch kernel (filling or
+//     replaying frontier slots, or without them) is bit-identical to the
+//     legacy clear-per-link kernel on randomized graphs, static and mutated.
 //   * IdCapacity — the 32-bit index-overflow guards, shrunk to a testable
 //     capacity via KnowledgeGraph::set_id_capacity_for_testing.
 //   * ScaleGenerator — make_scale_kg / sample_scale_links are pure
 //     functions of their seed and produce well-formed output.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -308,11 +310,56 @@ void expect_subgraphs_equal(const graph::EnclosingSubgraph& got,
   ASSERT_EQ(got.hull, want.hull) << what;
 }
 
-// The epoch kernel (with and without the frontier cache) must reproduce the
-// legacy clear-per-link kernel bit for bit — same nodes in the same order,
-// same distances, same induced edges — across modes, hop counts, caps and
-// overlay mutations.  Determinism is the contract everything else (parallel
-// build, score cache, checkpoint reproducibility) stands on.
+/// Extraction through frontier slots must equal `want` twice: once with
+/// empty slots, which the traversals fill, and once replaying them.  When
+/// (a, b) is an existing edge the traversals are masked and specific to the
+/// link, so the slots must stay empty.
+void expect_slotted_extractions_equal(const KnowledgeGraph& g,
+                                      const seal::LinkExample& l,
+                                      const graph::ExtractOptions& options,
+                                      const graph::EnclosingSubgraph& want,
+                                      const std::string& what) {
+  std::shared_ptr<const graph::Frontier> fa, fb;
+  expect_subgraphs_equal(
+      extract_enclosing_subgraph(g, l.a, l.b, options, &fa, &fb), want,
+      what + " slots-empty");
+  if (g.find_edge(l.a, l.b) >= 0) {
+    EXPECT_EQ(fa, nullptr) << what << " masked link filled a slot";
+    EXPECT_EQ(fb, nullptr) << what << " masked link filled a slot";
+    return;
+  }
+  ASSERT_NE(fa, nullptr) << what;
+  ASSERT_NE(fb, nullptr) << what;
+  EXPECT_EQ(fa->source, l.a) << what;
+  EXPECT_EQ(fb->source, l.b) << what;
+  const auto* filled_a = fa.get();
+  const auto* filled_b = fb.get();
+  expect_subgraphs_equal(
+      extract_enclosing_subgraph(g, l.a, l.b, options, &fa, &fb), want,
+      what + " slots-replayed");
+  EXPECT_EQ(fa.get(), filled_a) << what << " replay replaced its slot";
+  EXPECT_EQ(fb.get(), filled_b) << what << " replay replaced its slot";
+}
+
+/// `links` plus an existing edge out of each of the first few sources, so
+/// both branches of the slot contract run.
+std::vector<seal::LinkExample> with_edge_links(
+    const KnowledgeGraph& g, std::vector<seal::LinkExample> links) {
+  const std::size_t n = std::min<std::size_t>(links.size(), 5);
+  for (std::size_t i = 0; i < n; ++i)
+    for (const auto& adj : g.neighbors(links[i].a))
+      if (adj.node != links[i].a) {
+        links.push_back({links[i].a, adj.node, 0});
+        break;
+      }
+  return links;
+}
+
+// The epoch kernel (with empty, filled or no frontier slots) must reproduce
+// the legacy clear-per-link kernel bit for bit — same nodes in the same
+// order, same distances, same induced edges — across modes, hop counts, caps
+// and overlay mutations.  Determinism is the contract everything else
+// (parallel build, score cache, checkpoint reproducibility) stands on.
 TEST(EpochExtraction, MatchesLegacyKernelOnRandomGraphs) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     auto g = datasets::make_random_kg(random_kg_options(seed));
@@ -323,7 +370,12 @@ TEST(EpochExtraction, MatchesLegacyKernelOnRandomGraphs) {
         uo.seed = seed + 100;
         apply_updates(g, make_update_sequence(g, uo));
       }
-      const auto links = random_links(g, 25, /*num_classes=*/2, seed + 7);
+      const auto links =
+          with_edge_links(g, random_links(g, 25, /*num_classes=*/2, seed + 7));
+      std::size_t masked = 0;
+      for (const auto& l : links) masked += g.find_edge(l.a, l.b) >= 0;
+      ASSERT_GT(masked, 0u);
+      ASSERT_LT(masked, links.size());
       for (const auto mode : {graph::NeighborhoodMode::kUnion,
                               graph::NeighborhoodMode::kIntersection}) {
         graph::ExtractOptions legacy;
@@ -334,8 +386,6 @@ TEST(EpochExtraction, MatchesLegacyKernelOnRandomGraphs) {
         legacy.clear_per_link = true;
         auto epoch = legacy;
         epoch.clear_per_link = false;
-        auto cached = epoch;
-        cached.reuse_frontiers = true;
         for (const auto& l : links) {
           const auto want = extract_enclosing_subgraph(g, l.a, l.b, legacy);
           const std::string what =
@@ -344,14 +394,7 @@ TEST(EpochExtraction, MatchesLegacyKernelOnRandomGraphs) {
               std::to_string(l.a) + "," + std::to_string(l.b) + ")";
           expect_subgraphs_equal(extract_enclosing_subgraph(g, l.a, l.b, epoch),
                                  want, what + " epoch");
-          // Twice with the cache on: the second call replays a cached
-          // frontier for both endpoints.
-          expect_subgraphs_equal(
-              extract_enclosing_subgraph(g, l.a, l.b, cached), want,
-              what + " cache-cold");
-          expect_subgraphs_equal(
-              extract_enclosing_subgraph(g, l.a, l.b, cached), want,
-              what + " cache-warm");
+          expect_slotted_extractions_equal(g, l, epoch, want, what);
         }
       }
     }
@@ -361,7 +404,7 @@ TEST(EpochExtraction, MatchesLegacyKernelOnRandomGraphs) {
 // Dense graphs whose 2-hop unions run to hundreds of nodes, with ids that
 // need two and three bytes: the epoch kernel radix-sorts such unions and
 // partial-sorts the capped candidates, and must still match the legacy
-// kernel's full scan and full sort bit for bit.
+// kernel's full scan and full sort bit for bit, replayed slots included.
 TEST(EpochExtraction, MatchesLegacyKernelOnLargeNeighborhoods) {
   for (const std::int64_t nodes : {3000, 70000}) {
     datasets::RandomKGOptions o;
@@ -369,7 +412,8 @@ TEST(EpochExtraction, MatchesLegacyKernelOnLargeNeighborhoods) {
     o.num_edges = nodes * 12;
     o.seed = 5;
     const auto g = datasets::make_random_kg(o);
-    const auto links = random_links(g, 12, /*num_classes=*/2, 17);
+    const auto links =
+        with_edge_links(g, random_links(g, 12, /*num_classes=*/2, 17));
     for (const auto mode : {graph::NeighborhoodMode::kUnion,
                             graph::NeighborhoodMode::kIntersection}) {
       for (const std::int64_t cap : {0, 32}) {
@@ -384,42 +428,48 @@ TEST(EpochExtraction, MatchesLegacyKernelOnLargeNeighborhoods) {
         for (const auto& l : links) {
           const auto want = extract_enclosing_subgraph(g, l.a, l.b, legacy);
           ASSERT_GT(want.hull.size(), 256u);
-          expect_subgraphs_equal(
-              extract_enclosing_subgraph(g, l.a, l.b, epoch), want,
+          const std::string what =
               "nodes=" + std::to_string(nodes) + " cap=" +
-                  std::to_string(cap) + " link=(" + std::to_string(l.a) +
-                  "," + std::to_string(l.b) + ")");
+              std::to_string(cap) + " link=(" + std::to_string(l.a) + "," +
+              std::to_string(l.b) + ")";
+          expect_subgraphs_equal(extract_enclosing_subgraph(g, l.a, l.b, epoch),
+                                 want, what);
+          expect_slotted_extractions_equal(g, l, epoch, want, what);
         }
       }
     }
   }
 }
 
-// The frontier cache keys on the graph's generation: a mutation between two
-// extractions of the same link must invalidate, never replay stale hops.
-TEST(EpochExtraction, FrontierCacheInvalidatesAcrossMutations) {
-  auto g = datasets::make_random_kg(random_kg_options(11));
-  graph::ExtractOptions cached;
-  cached.num_hops = 2;
-  cached.max_nodes = 20;
-  cached.reuse_frontiers = true;
-  graph::ExtractOptions legacy = cached;
-  legacy.reuse_frontiers = false;
-  legacy.clear_per_link = true;
+// A slot is replayed only for the target and depth it was traversed for;
+// any other replay is a caller bug and must throw, not extract the wrong
+// subgraph.
+TEST(EpochExtraction, MismatchedFrontierSlotThrows) {
+  const auto g = datasets::make_random_kg(random_kg_options(11));
+  seal::LinkExample l{};
+  for (const auto& c : random_links(g, 50, /*num_classes=*/2, 13))
+    if (g.find_edge(c.a, c.b) < 0) {
+      l = c;
+      break;
+    }
+  ASSERT_LT(g.find_edge(l.a, l.b), 0);
+  graph::ExtractOptions options;
+  options.num_hops = 2;
+  std::shared_ptr<const graph::Frontier> fa, fb;
+  extract_enclosing_subgraph(g, l.a, l.b, options, &fa, &fb);
+  ASSERT_NE(fa, nullptr);
+  ASSERT_NE(fb, nullptr);
 
-  const auto links = random_links(g, 10, /*num_classes=*/2, 13);
-  UpdateSequenceOptions uo;
-  uo.count = 5;
-  for (std::uint64_t step = 0; step < 6; ++step) {
-    for (const auto& l : links)
-      expect_subgraphs_equal(
-          extract_enclosing_subgraph(g, l.a, l.b, cached),
-          extract_enclosing_subgraph(g, l.a, l.b, legacy),
-          "step=" + std::to_string(step) + " link=(" + std::to_string(l.a) +
-              "," + std::to_string(l.b) + ")");
-    uo.seed = step + 31;
-    apply_updates(g, make_update_sequence(g, uo));
-  }
+  // Source mismatch: the slots swapped between the targets.
+  EXPECT_THROW(extract_enclosing_subgraph(g, l.a, l.b, options, &fb, &fa),
+               std::invalid_argument);
+  // Depth mismatch: frontiers traversed at 2 hops replayed at 3.
+  auto deeper = options;
+  deeper.num_hops = 3;
+  EXPECT_THROW(extract_enclosing_subgraph(g, l.a, l.b, deeper, &fa, nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(extract_enclosing_subgraph(g, l.a, l.b, deeper, nullptr, &fb),
+               std::invalid_argument);
 }
 
 // ---- IdCapacity -------------------------------------------------------------

@@ -1,5 +1,5 @@
 // Serving-runtime tests (DESIGN.md §2.8): the persistent util::WorkerPool,
-// the batched endpoint-grouped Server pipeline and its three cache layers.
+// the batched endpoint-grouped Server pipeline and its two cache layers.
 //
 // Headline invariants:
 //   (1) Pool fork-join correctness — every item runs exactly once, worker
@@ -11,8 +11,8 @@
 //       invariant to the worker count (every scheme, including f16/q8),
 //       duplicates and all.
 //   (3) Cache coherence — the cross-query score/frontier caches never
-//       change bytes under randomized mutation/query interleavings; the
-//       node-row cache reproduces build_sample exactly.
+//       change bytes under randomized mutation/query interleavings, and a
+//       mutation inside an endpoint's frontier invalidates it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -29,7 +29,6 @@
 #include "datasets/wordnet_sim.h"
 #include "graph/knowledge_graph.h"
 #include "graph/subgraph.h"
-#include "seal/feature_builder.h"
 #include "serve/lru_cache.h"
 #include "serve/server.h"
 #include "test_util.h"
@@ -272,11 +271,11 @@ TEST(ServerScore, DuplicateLinksAreDedupedAndFannedOutInInputOrder) {
   EXPECT_EQ(s.scored, 6);
 }
 
-TEST(ServerScore, SharedEndpointBatchesHitTheEndpointAndRowCaches) {
+TEST(ServerScore, SharedEndpointBatchesHitTheEndpointCache) {
   ServeFixture fx;
   const auto predictor = fx.predictor();
-  // A candidate fan: one hot source against many destinations, non-edges
-  // favoured so the unmasked frontier path (the cacheable one) dominates.
+  // A candidate fan: one hot source against many destinations, all
+  // non-edges so every link takes the cacheable unmasked frontier path.
   std::vector<seal::LinkExample> fan;
   const graph::NodeId source = 3;
   for (graph::NodeId b = 20; fan.size() < 12; ++b)
@@ -285,11 +284,15 @@ TEST(ServerScore, SharedEndpointBatchesHitTheEndpointAndRowCaches) {
   const auto want = predictor.predict_links(fx.data.graph, fan);
 
   serve::Server server(predictor, fx.data.graph, {});
+  const auto f0 = graph::frontier_cache_stats();
   expect_predictions_bitwise_equal(server.score_batch(fan), want, "fan");
+  const auto f1 = graph::frontier_cache_stats();
   const auto s = server.stats();
-  // Within the group the source frontier is reused via the per-thread cache
-  // and the overlapping hulls share node rows.
-  EXPECT_GT(s.row_hits, 0);
+  // One group: its source is looked up once and each destination once.
+  EXPECT_EQ(s.endpoint_hits + s.endpoint_misses,
+            static_cast<std::int64_t>(fan.size()) + 1);
+  // The source is traversed for the first link and replayed for the rest.
+  EXPECT_GE(f1.hits - f0.hits, static_cast<std::int64_t>(fan.size()) - 1);
 
   // A second batch fanning the SAME source against fresh destinations must
   // hit the cross-query endpoint cache (the source BFS is replayed from the
@@ -345,6 +348,49 @@ TEST(ServerCache, MutationsNeverChangeBytes) {
       << "interleaving never invalidated anything — property proved nothing";
 }
 
+// A mutation inside an endpoint's cached frontier must drop that frontier:
+// the next fan from the same source re-traverses, and its bytes follow the
+// mutated graph.
+TEST(ServerCache, EdgeDeletionNearASourceInvalidatesItsFrontier) {
+  ServeFixture fx;
+  auto g = fx.data.graph;  // mutable serving copy
+  const auto predictor = fx.predictor();
+  serve::Server server(predictor, g, {});
+  const graph::NodeId source = 3;
+  const auto make_fan = [&](graph::NodeId first) {
+    std::vector<seal::LinkExample> fan;
+    for (graph::NodeId b = first; fan.size() < 6; ++b)
+      if (b != source && !g.has_edge(source, b)) fan.push_back({source, b, 0});
+    return fan;
+  };
+
+  const auto fan = make_fan(20);
+  expect_predictions_bitwise_equal(server.score_batch(fan),
+                                   predictor.predict_links(g, fan), "fan");
+  const auto before = server.stats();
+
+  // Delete an edge one hop out: from a neighbor of the source to a node
+  // other than the source, so both its endpoints lie in the source's
+  // 2-hop frontier.
+  graph::NodeId u = -1, w = -1;
+  for (const auto& adj : g.neighbors(source)) {
+    for (const auto& next : g.neighbors(adj.node))
+      if (next.node != source && next.node != adj.node) {
+        u = adj.node;
+        w = next.node;
+        break;
+      }
+    if (u >= 0) break;
+  }
+  ASSERT_GE(u, 0) << "no edge one hop out from the source";
+  g.delete_edge(u, w);
+
+  const auto fan2 = make_fan(120);
+  expect_predictions_bitwise_equal(server.score_batch(fan2),
+                                   predictor.predict_links(g, fan2), "fan2");
+  EXPECT_GT(server.stats().endpoint_invalidated, before.endpoint_invalidated);
+}
+
 // ---- Server: lifecycle -----------------------------------------------------
 
 TEST(ServerLifecycle, ShutdownDrainsQueuedAndInFlightRequests) {
@@ -383,6 +429,14 @@ TEST(ServerLifecycle, InvalidOptionsAreRejected) {
                serve::ServeError);
   so.num_workers = 1;
   so.queue_capacity = 0;
+  EXPECT_THROW(serve::Server(predictor, fx.data.graph, so),
+               serve::ServeError);
+  so.queue_capacity = 16;
+  so.score_cache_capacity = 0;
+  EXPECT_THROW(serve::Server(predictor, fx.data.graph, so),
+               serve::ServeError);
+  so.score_cache_capacity = 1;
+  so.endpoint_cache_capacity = 0;
   EXPECT_THROW(serve::Server(predictor, fx.data.graph, so),
                serve::ServeError);
 }
@@ -430,59 +484,6 @@ TEST(ServerBackpressure, BoundedQueueNeverDeadlocksAtCapacityOne) {
     futures.push_back(server.submit(links));
   for (auto& f : futures)
     expect_predictions_bitwise_equal(f.get(), want, "backpressure");
-}
-
-// ---- Frontier-cache counters behind predict_links --------------------------
-
-TEST(PredictorStats, FrontierCountersTrackTheCache) {
-  ServeFixture fx;
-  core::LinkPredictor::Options po;
-  po.dataset = fx.cfg.dataset;
-  const core::LinkPredictor predictor(fx.clf->model(), po);
-  // Frontier reuse is always on; the benchmark replays extraction stages
-  // from these options.
-  EXPECT_TRUE(predictor.options().dataset.extract.reuse_frontiers);
-
-  graph::reset_frontier_cache_stats();
-  const auto links = random_links(fx.data.graph, 6, fx.data.num_classes, 71);
-  predictor.predict_links(fx.data.graph, links);
-  const auto first = graph::frontier_cache_stats();
-  EXPECT_GT(first.misses, 0);
-
-  predictor.predict_links(fx.data.graph, links);
-  const auto second = graph::frontier_cache_stats();
-  // Frontier counters are process-wide aggregates and only ever grow.
-  EXPECT_GE(second.hits, first.hits);
-  EXPECT_GE(second.misses, first.misses);
-}
-
-// ---- NodeRowCache ----------------------------------------------------------
-
-TEST(NodeRowCache, CachedRowsReproduceBuildSampleExactly) {
-  ServeFixture fx;
-  const auto& g = fx.data.graph;
-  auto extract = fx.cfg.dataset.extract;
-  const auto& features = fx.cfg.dataset.features;
-  const auto links = random_links(g, 10, fx.data.num_classes, 81);
-
-  seal::NodeRowCache cache;
-  for (const auto& link : links) {
-    const auto sub = graph::extract_enclosing_subgraph(g, link.a, link.b,
-                                                       extract);
-    const auto plain = seal::build_sample(g, sub, link.label, features);
-    const auto cached =
-        seal::build_sample(g, sub, link.label, features, &cache);
-    ASSERT_EQ(plain.num_nodes, cached.num_nodes);
-    ASSERT_EQ(plain.src, cached.src);
-    ASSERT_EQ(plain.dst, cached.dst);
-    ASSERT_EQ(plain.node_feat.numel(), cached.node_feat.numel());
-    ASSERT_EQ(plain.node_feat.to_vec64(), cached.node_feat.to_vec64());
-  }
-  EXPECT_GT(cache.stats().hits, 0);     // overlapping subgraphs shared rows
-  EXPECT_GT(cache.stats().misses, 0);
-  EXPECT_GT(cache.size(), 0u);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
 }
 
 }  // namespace

@@ -46,7 +46,6 @@
 #include "datasets/cora_sim.h"
 #include "datasets/primekg_sim.h"
 #include "datasets/wordnet_sim.h"
-#include "graph/subgraph.h"
 #include "models/serialize.h"
 #include "util/stopwatch.h"
 
@@ -340,12 +339,10 @@ int main(int argc, char** argv) {
                 << " deduped=" << s.deduped
                 << " score-hit=" << rate(s.score_hits, s.score_misses)
                 << " endpoint-hit=" << rate(s.endpoint_hits, s.endpoint_misses)
-                << " row-hit=" << rate(s.row_hits, s.row_misses) << "\n";
+                << "\n";
       server->shutdown();
     } else {
-      const auto f = graph::frontier_cache_stats();
-      std::cerr << "amdgcnn_serve: predictor frontier-hit="
-                << rate(f.hits, f.misses) << " arena peak "
+      std::cerr << "amdgcnn_serve: predictor arena peak "
                 << predictor.arena_peak_bytes() << " B\n";
     }
     return 0;
