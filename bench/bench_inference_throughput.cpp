@@ -21,13 +21,14 @@
 // bit-for-bit, that the serial and 1-worker pipeline batches agree
 // bit-for-bit, and — in full mode — that the AM-DGCNN f64 arena forward (the
 // paper's model at reference precision) clears a >= 1.5x speedup floor over
-// the trainer forward.  Steady-state measurements sit around 1.9x.  Roughly
-// half of the f64 forward is scalar-libm tanh, shared by both paths and
-// pinned by the bit-identity contract, so the f64 ratio is bounded near 2x
-// even with every removable byte of autograd, pool and copy overhead gone
-// from the arena path.  f32 replaces libm with the exact vectorized
-// fwd::tanh_inplace in both paths; its ratio and the vanilla model's are
-// reported unasserted.
+// the trainer forward.  Roughly half of the f64 forward is scalar-libm tanh,
+// shared by both paths and pinned by the bit-identity contract, so the f64
+// ratio is bounded near 2x even with every removable byte of autograd, pool
+// and copy overhead gone from the arena path.  Since the trainer runs the
+// frozen engine's fused GAT-layer kernel the ratio measures about 1.2x and
+// the full run stops at this floor (ROADMAP: inference floors).  f32
+// replaces libm with the exact vectorized fwd::tanh_inplace in both paths;
+// its ratio and the vanilla model's are reported unasserted.
 //
 // The f32 iteration additionally measures the quantized serving modes
 // (DESIGN.md §2.7): f16 and q8 arena forwards timed pairwise against the
@@ -35,8 +36,9 @@
 // storage story — v3 checkpoint bytes and resident weight bytes against the
 // f64 reference checkpoint.  Two floors are asserted for the paper's model:
 // in full mode the q8 arena forward must never be slower than the exact f32
-// arena forward (>= 1x; the exact forward's tanh is vectorized too now, so
-// q8 keeps only its f32-lane reductions and smaller weights), and in both
+// arena forward (>= 1x; the exact forward's tanh, read-out conv and softmax
+// exp are vectorized too now, so q8 keeps only its relaxed f32-lane
+// reductions and smaller weights, and measures about 1x), and in both
 // modes the q8 checkpoint + resident weights must shrink >= 4x vs the f64
 // reference (expected ~7.1x; f16 is exactly 4x and is reported unasserted).
 // Serial vs 1-worker determinism is asserted per quantized mode — the modes
@@ -411,9 +413,10 @@ int main(int argc, char** argv) {
                   mr.model.c_str(), ag::dtype_name(dtype), speedup,
                   trainer_row.p50_us, arena_row.p50_us);
       // The asserted floor (see the header comment): the paper's model at
-      // reference precision must clear 1.5x — set below the ~1.9x
-      // steady-state so host throttling cannot flake the full run.  Other
-      // combos are reported unasserted.
+      // reference precision must clear 1.5x — set below the ~1.9x the
+      // ratio measured before the trainer shared the fused GAT-layer kernel
+      // (about 1.2x now; ROADMAP: inference floors).  Other combos are
+      // reported unasserted.
       if (!smoke && kind == models::GnnKind::kAMDGCNN &&
           dtype == ag::Dtype::f64 && speedup < 1.5) {
         std::fprintf(stderr,
@@ -557,9 +560,11 @@ int main(int argc, char** argv) {
   }
 
   // Speed gate (full mode): the q8 arena forward is never slower than the
-  // exact f32 arena forward, on every model shape.  Both run vectorized
-  // tanh; what q8 keeps is its relaxed softmax/reductions and 4x smaller
-  // weights, so the floor is parity, not a multiple.
+  // exact f32 arena forward, on every model shape.  Both run a vectorized
+  // tanh, read-out conv and softmax exp; what q8 keeps is its relaxed
+  // softmax sums and reductions and 4x smaller weights, so the floor is
+  // parity, not a multiple, and the measured ratio sits near it (ROADMAP:
+  // inference floors).
   for (const auto& mr : results) {
     std::printf("%-14s q8 arena speedup vs f32 arena: %.2fx\n",
                 mr.model.c_str(), mr.quant.speedup_q8);

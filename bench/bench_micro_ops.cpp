@@ -3,7 +3,8 @@
 // cost to computational latency" claim), one GAT layer at the PrimeKG-sim
 // training shape with the stages of its shared forward kernel, the linear
 // backward kernels,
-// subgraph extraction, DRNL, sort pooling and the conv read-out head.
+// subgraph extraction, DRNL, sort pooling, the conv read-out head and its
+// forward stages, and the attention softmax forward.
 #include <benchmark/benchmark.h>
 
 #include "datasets/wordnet_sim.h"
@@ -17,6 +18,7 @@
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/quant.h"
+#include "tensor/segment_ops.h"
 
 namespace {
 
@@ -134,8 +136,12 @@ BENCHMARK_TEMPLATE(BM_GatLayer, double);
 
 /// The stages of the shared forward kernel fwd::gat_layer_fwd at the same
 /// shape, one per row, plus the layer's tanh (run by the caller):
-/// 0 projection (x·W, edge_attr·W_e), 1 scores, 2 LeakyReLU + softmax,
-/// 3 messages, 4 scatter + bias, 5 tanh, 6 the whole kernel.
+/// 0 projection (x·W, edge_attr·W_e), 1 scores, 2 messages, 3 scatter +
+/// bias, 4 tanh, 5 the whole kernel.  The rows instantiate the kernels in
+/// this file at the fixture's constant shapes, so they are a coarse split of
+/// where the layer's time goes, not a measurement of the library's code
+/// (DESIGN.md §2.4); the softmax is timed through the library by
+/// BM_SegmentSoftmaxForward.
 template <typename T>
 void BM_GatLayerStage(benchmark::State& state) {
   namespace fwd = ag::fwd;
@@ -165,14 +171,12 @@ void BM_GatLayerStage(benchmark::State& state) {
   const T* eattr = fix.edge_attr.template data_as<T>().data();
   T* nd = scratch.data();
   T* act = nd + 2 * n * heads;
-  T* seg_max = act + e_all * heads;
-  T* msg = seg_max + n * heads;
+  T* msg = act + e_all * heads + n * heads;  // past the segment maxima
   fwd::gat_layer_fwd(L, x, eattr, s.data(), d.data(), n, e_in, b, out.data());
 
   const int stage = static_cast<int>(state.range(0));
-  static const char* const kNames[] = {"projection", "scores", "softmax",
-                                       "messages",   "scatter", "tanh",
-                                       "layer"};
+  static const char* const kNames[] = {"projection", "scores", "messages",
+                                       "scatter",    "tanh",   "layer"};
   state.SetLabel(kNames[stage]);
   for (auto _ : state) {
     switch (stage) {
@@ -187,21 +191,14 @@ void BM_GatLayerStage(benchmark::State& state) {
                             e_in, scores.data(), nd, act);
         break;
       case 2:
-        for (std::int64_t i = 0; i < e_all * heads; ++i)
-          act[i] = scores[i] > T(0) ? scores[i] : L.slope * scores[i];
-        std::fill(seg_sum.begin(), seg_sum.end(), 0.0);
-        fwd::segment_softmax_fwd(act, d.data(), alpha.data(), seg_max,
-                                 seg_sum.data(), e_all, heads, n);
-        break;
-      case 3:
         fwd::gat_messages_fwd(xw.data(), ea.data(), alpha.data(), s.data(),
                               e_in, e_all, hf, heads, msg);
         break;
-      case 4:
+      case 3:
         fwd::scatter_add_bias_fwd(msg, d.data(), e_all, n, hf, L.bias,
                                   out.data());
         break;
-      case 5:
+      case 4:
         fwd::tanh_inplace(out.data(), n * hf);
         break;
       default:
@@ -211,8 +208,8 @@ void BM_GatLayerStage(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
 }
-BENCHMARK_TEMPLATE(BM_GatLayerStage, float)->DenseRange(0, 6);
-BENCHMARK_TEMPLATE(BM_GatLayerStage, double)->DenseRange(0, 6);
+BENCHMARK_TEMPLATE(BM_GatLayerStage, float)->DenseRange(0, 5);
+BENCHMARK_TEMPLATE(BM_GatLayerStage, double)->DenseRange(0, 5);
 
 void BM_SubgraphExtraction(benchmark::State& state) {
   datasets::WordNetSimOptions opts;
@@ -282,6 +279,67 @@ void BM_ConvReadoutHead(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConvReadoutHead);
+
+/// Forward-only read-out stages through the library's own call sites
+/// (ops::conv1d, ops::max_pool1d: the kernels the trainer and the frozen
+/// forward share, compiled once in the library).  The shapes arrive as
+/// runtime arguments, as in the model, so no call is specialised to them:
+/// sort_k k, C embedding channels; stage 0 conv1 (1 -> 16, kernel = stride
+/// = C), 1 the max-pool, 2 conv2 (16 -> 32, kernel 5), 3 all three.
+template <typename T>
+void BM_ConvReadoutForward(benchmark::State& state) {
+  const std::int64_t k = state.range(0), channels = state.range(1);
+  const auto stage = state.range(2);
+  const ag::Dtype dt = ag::dtype_of_v<T>;
+  util::Rng rng(5);
+  const auto seq = ag::Tensor::randn({1, k * channels}, rng, dt);
+  const auto w1 = ag::Tensor::randn({16, channels}, rng, dt);
+  const auto b1 = ag::Tensor::randn({16}, rng, dt);
+  const auto w2 = ag::Tensor::randn({32, 16 * 5}, rng, dt);
+  const auto b2 = ag::Tensor::randn({32}, rng, dt);
+  const auto c1 = ag::ops::conv1d(seq, w1, b1, channels, channels);
+  const auto p = ag::ops::max_pool1d(c1, 2, 2);
+  for (auto _ : state) {
+    ag::Tensor out;
+    if (stage == 0) out = ag::ops::conv1d(seq, w1, b1, channels, channels);
+    if (stage == 1) out = ag::ops::max_pool1d(c1, 2, 2);
+    if (stage == 2) out = ag::ops::conv1d(p, w2, b2, 5, 1);
+    if (stage == 3)
+      out = ag::ops::conv1d(
+          ag::ops::max_pool1d(
+              ag::ops::conv1d(seq, w1, b1, channels, channels), 2, 2),
+          w2, b2, 5, 1);
+    benchmark::DoNotOptimize(out.data_as<T>().data());
+    benchmark::ClobberMemory();
+  }
+  static const char* const kNames[] = {"conv1", "pool", "conv2", "read-out"};
+  state.SetLabel(kNames[stage]);
+}
+BENCHMARK_TEMPLATE(BM_ConvReadoutForward, float)
+    ->ArgsProduct({{24}, {97}, {0, 1, 2, 3}});
+BENCHMARK_TEMPLATE(BM_ConvReadoutForward, double)
+    ->ArgsProduct({{24}, {97}, {0, 1, 2, 3}});
+
+/// Forward-only attention softmax through ops::segment_softmax at the serve
+/// shape: e edge scores of `heads` heads over n destination segments.
+template <typename T>
+void BM_SegmentSoftmaxForward(benchmark::State& state) {
+  const std::int64_t e = state.range(0), heads = state.range(1),
+                     n = state.range(2);
+  util::Rng rng(6);
+  const auto scores = ag::Tensor::randn({e, heads}, rng, ag::dtype_of_v<T>);
+  std::vector<std::int64_t> seg(static_cast<std::size_t>(e));
+  for (auto& v : seg)
+    v = static_cast<std::int64_t>(
+        rng.uniform_int(static_cast<std::uint64_t>(n)));
+  for (auto _ : state) {
+    const ag::Tensor alpha = ag::ops::segment_softmax(scores, seg, n);
+    benchmark::DoNotOptimize(alpha.data_as<T>().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK_TEMPLATE(BM_SegmentSoftmaxForward, float)->Args({92, 4, 32});
+BENCHMARK_TEMPLATE(BM_SegmentSoftmaxForward, double)->Args({92, 4, 32});
 
 // ---- Quantized-inference primitives (DESIGN.md §2.7) ----------------------
 // The decode kernels and the decode+matmul composite the q8 arena forward is

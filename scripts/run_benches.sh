@@ -16,10 +16,12 @@
 # ThreadSanitizer pass (AMDGCNN_SANITIZE=thread) over the serve, dynamic,
 # infer and parallel suites in a third tree.
 #
-# Both modes check the exact f32 tanh kernel against
-# (float)std::tanh((double)x) on all 2^32 inputs (bench_tanh_exhaustive), once
-# in the Release tree (-march=native: FMA-contracted where the host has FMA)
-# and, unless --skip-sanitize, once in the sanitizer tree (no -march: every step rounded separately).
+# Both modes check the exact f32 tanh and exp kernels against
+# (float)std::tanh((double)x) and std::exp(float) on all 2^32 inputs
+# (bench_tanh_exhaustive), once in the Release tree (-march=native:
+# FMA-contracted where the host has FMA) and, unless --skip-sanitize, once in
+# the sanitizer tree (no -march: every step the compiler would contract
+# rounded separately).
 #
 # Full mode also asserts the benches' wall-clock speedup floors (serving >= 2x
 # the per-request baseline, q8 arena >= 1x exact f32, f64 arena >= 1.5x the
@@ -109,13 +111,17 @@ if [[ "${run_sanitize}" -eq 1 ]]; then
              amdgcnn_dynamic_tests amdgcnn_scale_tests amdgcnn_quant_tests \
              amdgcnn_serve_tests bench_tanh_exhaustive
   # The Release sweep above ran with -march=native; this tree has no -march,
-  # so the kernel's multiply-adds round separately and the 2^32 proof is
-  # repeated for that code generation.
+  # so the tanh kernel's multiply-adds round separately (the exp kernel's are
+  # explicit std::fma calls) and the 2^32 proof is repeated for that code
+  # generation.
   "${asan_dir}/bench/bench_tanh_exhaustive"
   # GatConvOp / GATLayer: the fused GAT layer's pooled saved state and its
   # gradient writes through detail::grad_of; ParallelTrainer: the same
-  # writes into per-worker gradient sinks.
-  unit_tests='ParallelDatasetBuild|DrnlProperty|ExtractionProperty|DynamicGraphProperty|BufferPool|SortPoolEquivalence|GatConvOp|GATLayer|ParallelTrainer'
+  # writes into per-worker gradient sinks; Conv1dOracle: the vectorized conv
+  # forward's scratch (transposed weight, zero-padded input rows) and its
+  # non-FMA rounding against tests/conv_reference.h (the exp kernel's tests,
+  # ExpKernel.*, run with the dtype suite below).
+  unit_tests='ParallelDatasetBuild|DrnlProperty|ExtractionProperty|DynamicGraphProperty|BufferPool|SortPoolEquivalence|GatConvOp|GATLayer|ParallelTrainer|Conv1dOracle'
   require_tests "${asan_dir}" -R "${unit_tests}"
   ctest --test-dir "${asan_dir}" --output-on-failure -R "${unit_tests}"
   require_tests "${asan_dir}" -L dtype

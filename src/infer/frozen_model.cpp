@@ -575,9 +575,20 @@ const T* FrozenModel::forward_impl(const seal::SubgraphSample& sample,
   // The reshape to [1, k*C] is a view of the same row-major buffer; conv1
   // reads `pooled` directly.
   T* c1 = arena.alloc<T>(static_cast<std::size_t>(config_.conv1_channels * k));
-  fwd::conv1d_fwd(pooled, conv1_w_.data_as<T>().data(),
-                  conv1_b_.data_as<T>().data(), c1, 1, k * C,
-                  config_.conv1_channels, C, C);
+  const auto conv_scratch = [&](std::int64_t cin, std::int64_t len,
+                                std::int64_t cout, std::int64_t kernel,
+                                std::int64_t stride) {
+    return arena.alloc<T>(static_cast<std::size_t>(
+        fwd::conv1d_scratch_size<T>(cin, len, cout, kernel, stride)));
+  };
+  {
+    const Arena::Mark m = arena.mark();
+    fwd::conv1d_fwd(pooled, conv1_w_.data_as<T>().data(),
+                    conv1_b_.data_as<T>().data(), c1, 1, k * C,
+                    config_.conv1_channels, C, C,
+                    conv_scratch(1, k * C, config_.conv1_channels, C, C));
+    arena.rewind(m);
+  }
   for (std::int64_t i = 0; i < config_.conv1_channels * k; ++i)
     c1[i] = c1[i] > T(0) ? c1[i] : T(0);
 
@@ -589,9 +600,16 @@ const T* FrozenModel::forward_impl(const seal::SubgraphSample& sample,
 
   T* c2 = arena.alloc<T>(
       static_cast<std::size_t>(config_.conv2_channels * conv_out_len_));
-  fwd::conv1d_fwd(p1, conv2_w_.data_as<T>().data(),
-                  conv2_b_.data_as<T>().data(), c2, config_.conv1_channels, lp,
-                  config_.conv2_channels, config_.conv2_kernel, 1);
+  {
+    const Arena::Mark m = arena.mark();
+    fwd::conv1d_fwd(p1, conv2_w_.data_as<T>().data(),
+                    conv2_b_.data_as<T>().data(), c2, config_.conv1_channels,
+                    lp, config_.conv2_channels, config_.conv2_kernel, 1,
+                    conv_scratch(config_.conv1_channels, lp,
+                                 config_.conv2_channels, config_.conv2_kernel,
+                                 1));
+    arena.rewind(m);
+  }
   for (std::int64_t i = 0; i < config_.conv2_channels * conv_out_len_; ++i)
     c2[i] = c2[i] > T(0) ? c2[i] : T(0);
 

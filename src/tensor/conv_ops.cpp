@@ -60,14 +60,13 @@ Tensor conv1d_impl(const Tensor& x, const Tensor& weight, const Tensor& bias,
   const auto& wd = weight.data_as<T>();
   const T* bv = has_bias ? bias.data_as<T>().data() : nullptr;
   // Shared forward (fwd_kernels.h — the frozen inference path runs the same
-  // instantiation).  Two layouts, both fixed-order (bit-deterministic for a
-  // given dtype): stride == 1 (the second read-out conv, K=5) vectorises
-  // across output positions; strided (the first read-out conv, kernel =
-  // stride = total embedding width) splits each unavoidable dot product
-  // into kLanes independent accumulators — a single running sum is a serial
-  // FP chain the compiler may not reassociate into SIMD.
+  // instantiation): vectors across output positions (stride 1) or output
+  // channels (strided), each output's sum in a fixed order.
+  std::vector<T> scratch = detail::new_buffer_t<T>(static_cast<std::size_t>(
+      fwd::conv1d_scratch_size<T>(cin, len, cout, kernel, stride)));
   fwd::conv1d_fwd(xd.data(), wd.data(), bv, out.data(), cin, len, cout,
-                  kernel, stride);
+                  kernel, stride, scratch.data());
+  detail::pool_of<T>().release(std::move(scratch));
 
   std::vector<Tensor> parents = {x, weight};
   if (has_bias) parents.push_back(bias);

@@ -10,10 +10,25 @@
 // into one set of inline templates removes that risk: every caller
 // instantiates the same function from the same source under the same flags.
 //
+// Same source and flags are not enough on their own: every caller must also
+// compile a kernel the same way, and GCC shapes a loop's contraction and
+// reduction after the sizes it can see.  The scalar conv loops that
+// preceded conv1d_fwd, compiled in a standalone file with the serve model's
+// shapes as literals, rounded 3437 of 5120 conv2 outputs differently from
+// the library's ops::conv1d.  So the call sites live in library translation
+// units and pass runtime shapes, kernels are measured and verified through
+// them, and a kernel pins each step it needs fused or unfused instead of
+// leaving it to the loop vectorizer: `a * b + c` on whole GNU vectors for
+// a fused step (one FMA wherever the target has FMA),
+// __builtin_assoc_barrier around a product that must round first, explicit
+// std::fma where a step must fuse even without FMA instructions
+// (DESIGN.md §2.4).
+//
 // Only the order- or contraction-sensitive forwards live here (dot-product
 // reductions, softmax normalisers, conv taps, the SortPooling comparator,
-// the multi-step f32 tanh), plus one whole layer, the edge-attribute GAT
-// layer, whose every operation the trainer and the frozen engine share.
+// the multi-step f32 tanh and exp), plus one whole layer, the
+// edge-attribute GAT layer, whose every operation the trainer and the
+// frozen engine share.
 // Single-FP-op-per-element forwards (add, relu, scaling) are exact by
 // construction in any code shape and stay inline at their call sites.
 //
@@ -90,11 +105,167 @@ inline void heads_scale_fwd(const T* __restrict__ x,
     }
 }
 
+// ---- Exact element-wise tanh and exp ----------------------------------------
+
+namespace detail {
+
+/// (float)std::tanh((double)x) bit for bit, for every one of the 2^32 f32
+/// inputs, as a branch-free f64 evaluation that gcc vectorizes:
+///   * |x| is clamped to 10 on the bit pattern: tanh rounds to 1.0f from
+///     ~9.01 on, and inf/NaN patterns clamp too (NaN is restored below);
+///   * em1 = expm1(-2|x|) by a Cody–Waite reduction -2|x| = k·ln2 + r,
+///     |r| <= ln2/2, with expm1(r) = r + r²·q(r) for a degree-9 q (the
+///     Chebyshev economization of its Taylor series on |r| <= 0.3467).  The
+///     leading r term keeps full relative precision near 0, so tiny and
+///     subnormal inputs come out exact;
+///   * tanh|x| = -em1 / (2 + em1), rounded once to f32;
+///   * the sign is ORed back in, and NaN inputs pass through quieted, as the
+///     f64 round trip quiets them.
+/// Every select is an integer operation: under gcc's default
+/// -ftrapping-math a float min/fmin clamp, copysign or a float `?:` turns
+/// into control flow that keeps the loop scalar.
+/// bench_tanh_exhaustive checks all 2^32 inputs.  It has passed with GCC 12.2
+/// on x86-64 both with -march=native on AVX-512, where the Horner steps are
+/// contracted into FMAs, and without -march, where every step rounds
+/// separately.  Another compiler or target needs a new sweep (DESIGN.md §2.4).
+inline float tanh_f32(float x) {
+  const auto u = std::bit_cast<std::uint32_t>(x);
+  const std::uint32_t mag = u & 0x7fffffffu;
+  constexpr std::uint32_t kTen = 0x41200000u;  // 10.0f
+  const double ax =
+      static_cast<double>(std::bit_cast<float>(mag < kTen ? mag : kTen));
+  const double y = -2.0 * ax;
+  // k = round(y / ln2) through the 1.5·2^52 shifter: the sum's low mantissa
+  // bits hold k, so 2^k is built in the exponent field without a conversion.
+  constexpr double kShift = 0x1.8p52;
+  const double ks = y * 0x1.71547652b82fep0 + kShift;
+  const double kd = ks - kShift;
+  const double r = (y - kd * 0x1.62e42feep-1) - kd * 0x1.a39ef35793c76p-33;
+  double q = 0x1.af4e09f575337p-26;
+  q = q * r + 0x1.28919d85e600cp-22;
+  q = q * r + 0x1.71de0221ee58cp-19;
+  q = q * r + 0x1.a019b8f8c56ffp-16;
+  q = q * r + 0x1.a01a01abecf31p-13;
+  q = q * r + 0x1.6c16c17891214p-10;
+  q = q * r + 0x1.11111111100d2p-7;
+  q = q * r + 0x1.5555555553d55p-5;
+  q = q * r + 0x1.5555555555557p-3;
+  q = q * r + 0x1.0000000000001p-1;
+  const double p = r + r * r * q;  // expm1(r)
+  const std::uint64_t k =
+      std::bit_cast<std::uint64_t>(ks) - std::bit_cast<std::uint64_t>(kShift);
+  const double scale = std::bit_cast<double>((k + 1023) << 52);  // 2^k, k <= 0
+  const double em1 = scale * p + (scale - 1.0);
+  const auto t = std::bit_cast<std::uint32_t>(
+      static_cast<float>(-em1 / (2.0 + em1)));
+  // `& 0x7fffffff`: x = +0 gives em1 = +0 and a -0 quotient.
+  const std::uint32_t out = (t & 0x7fffffffu) | (u & 0x80000000u);
+  const std::uint32_t nan = 0u - static_cast<std::uint32_t>(mag > 0x7f800000u);
+  return std::bit_cast<float>((out & ~nan) | ((u | 0x00400000u) & nan));
+}
+
+/// 2^(i/32) as f64 bit patterns, minus i << 47 (glibc's __exp2f_data.tab):
+/// adding k << 47 for k = 32q + i yields 2^(k/32).
+alignas(64) inline constexpr std::uint64_t kExp2Table[32] = {
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f,
+    0x3fef9301d0125b51, 0x3fef72b83c7d517b, 0x3fef54873168b9aa,
+    0x3fef387a6e756238, 0x3fef1e9df51fdee1, 0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429,
+    0x3feea47eb03a5585, 0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187, 0x3feea589994cce13, 0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c,
+    0x3fef3720dcef9069, 0x3fef5818dcfba487, 0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+};
+
+/// std::exp(float) bit for bit, for every one of the 2^32 f32 inputs, as a
+/// branch-free replica of glibc 2.36 expf (sysdeps/ieee754/flt-32/e_expf.c)
+/// in its x86-64 FMA build, the one FMA hosts run:
+///   * z = x·32/ln2 is split into k = round(z), through the 1.5·2^52
+///     shifter, and r = z - k, each one FMA on the unrounded product;
+///   * 2^(k/32) = kExp2Table[k % 32] with k >> 5 added to the exponent;
+///   * exp(x) = 2^(k/32) · (1 + c2·r + (c0·r + c1)·r²) in f64, rounded once
+///     to f32;
+///   * x > 0x1.62e42ep6 (+inf included) gives +inf, x < -0x1.9fe368p6 (-inf
+///     included) gives +0, and NaN comes back quieted, as x + x returns it.
+///     These selects are integer operations, so the loop stays branch-free.
+/// Every multiply-add is an explicit std::fma.  libm's result depends on
+/// them being fused, and a build without FMA instructions (no -march) would
+/// otherwise round them twice: a version that left them to contraction
+/// differed from libm at 2 inputs there (0x4202422f, 0xc27c65d9).
+/// bench_tanh_exhaustive checks all 2^32 inputs against the libm it runs
+/// with, under -march=native and without.  Another libm (another glibc, or a
+/// host without FMA, whose glibc picks its non-FMA expf) needs a new sweep;
+/// the sweep fails loudly on any mismatch.
+inline float exp_f32(float x) {
+  const auto u = std::bit_cast<std::uint32_t>(x);
+  // One compare each (a `&&` of two keeps gcc from vectorizing): as signed
+  // integers the positive patterns above 0x1.62e42ep6 are exactly those
+  // greater than its pattern, and as unsigned the negative patterns below
+  // -0x1.9fe368p6 those greater than its pattern.
+  const std::uint32_t over = 0u - static_cast<std::uint32_t>(
+                                      static_cast<std::int32_t>(u) > 0x42b17217);
+  const std::uint32_t under = 0u - static_cast<std::uint32_t>(u > 0xc2cff1b4u);
+  const std::uint32_t nan =
+      0u - static_cast<std::uint32_t>((u & 0x7fffffffu) > 0x7f800000u);
+  const std::uint32_t special = over | under | nan;
+  // Special inputs run the polynomial on +0 and are replaced below.
+  const double xd = static_cast<double>(std::bit_cast<float>(u & ~special));
+  constexpr double kShift = 0x1.8p52;
+  constexpr double kInvLn2N = 0x1.71547652b82fep0 * 32;
+  const double ks = std::fma(kInvLn2N, xd, kShift);
+  const double kd = ks - kShift;
+  const double r = std::fma(kInvLn2N, xd, -kd);
+  const std::uint64_t k = std::bit_cast<std::uint64_t>(ks);
+  const double s = std::bit_cast<double>(kExp2Table[k % 32] + (k << 47));
+  const double z = std::fma(0x1.c6af84b912394p-5 / (32.0 * 32.0 * 32.0), r,
+                            0x1.ebfce50fac4f3p-3 / (32.0 * 32.0));
+  const double r2 = r * r;
+  double y = std::fma(0x1.62e42ff0c52d6p-1 / 32.0, r, 1.0);
+  y = std::fma(z, r2, y);
+  const auto e = std::bit_cast<std::uint32_t>(static_cast<float>(y * s));
+  return std::bit_cast<float>((e & ~special) | (over & 0x7f800000u) |
+                              (nan & (u | 0x00400000u)));
+}
+
+}  // namespace detail
+
+/// x[0..n) = tanh(x) in place: the activation of every message-passing layer,
+/// run by the trainer (ops::linear_tanh, ops::tanh_act) and the frozen
+/// forward alike.  f64 calls std::tanh; f32 runs detail::tanh_f32, which
+/// returns exactly (float)std::tanh((double)x) at ~13x the speed of libm.
+template <typename T>
+inline void tanh_inplace(T* __restrict__ x, std::int64_t n) {
+  if constexpr (std::is_same_v<T, float>) {
+    for (std::int64_t i = 0; i < n; ++i) x[i] = detail::tanh_f32(x[i]);
+  } else {
+    for (std::int64_t i = 0; i < n; ++i) x[i] = std::tanh(x[i]);
+  }
+}
+
+/// x[0..n) = exp(x) in place: the attention softmax's exponential, run by
+/// the trainer (ops::segment_softmax, ops::gat_conv) and the frozen forward
+/// alike.  f64 calls std::exp; f32 runs detail::exp_f32, which returns
+/// exactly std::exp(float) and vectorizes.
+template <typename T>
+inline void exp_inplace(T* __restrict__ x, std::int64_t n) {
+  if constexpr (std::is_same_v<T, float>) {
+    for (std::int64_t i = 0; i < n; ++i) x[i] = detail::exp_f32(x[i]);
+  } else {
+    for (std::int64_t i = 0; i < n; ++i) x[i] = std::exp(x[i]);
+  }
+}
+
 /// Segment-softmax forward: out[e,h] = softmax of scores[e,h] within each
 /// destination segment.  `seg_max` is caller scratch of num_segments*h T
 /// (overwritten), `seg_sum` caller scratch of num_segments*h doubles (must
 /// be zeroed).  Max pass and exp run at storage width; the normaliser
-/// accumulates in f64 (dtype policy, DESIGN.md §2.3).
+/// accumulates in f64 (dtype policy, DESIGN.md §2.3).  The exp runs as one
+/// exp_inplace pass over the contiguous max-subtracted scores, so at f32 it
+/// vectorizes, and the sums then add in the same (edge, head) order.  Each
+/// element gets the bytes of one std::exp.
 template <typename T>
 inline void segment_softmax_fwd(const T* __restrict__ sv,
                                 const std::int64_t* __restrict__ segment,
@@ -108,11 +279,12 @@ inline void segment_softmax_fwd(const T* __restrict__ sv,
       seg_max[segment[r] * h + c] =
           std::max(seg_max[segment[r] * h + c], sv[r * h + c]);
   for (std::int64_t r = 0; r < e; ++r)
-    for (std::int64_t c = 0; c < h; ++c) {
-      const T ex = std::exp(sv[r * h + c] - seg_max[segment[r] * h + c]);
-      out[r * h + c] = ex;
-      seg_sum[segment[r] * h + c] += static_cast<double>(ex);
-    }
+    for (std::int64_t c = 0; c < h; ++c)
+      out[r * h + c] = sv[r * h + c] - seg_max[segment[r] * h + c];
+  exp_inplace(out, e * h);
+  for (std::int64_t r = 0; r < e; ++r)
+    for (std::int64_t c = 0; c < h; ++c)
+      seg_sum[segment[r] * h + c] += static_cast<double>(out[r * h + c]);
   for (std::int64_t r = 0; r < e; ++r)
     for (std::int64_t c = 0; c < h; ++c)
       out[r * h + c] = static_cast<T>(static_cast<double>(out[r * h + c]) /
@@ -279,8 +451,15 @@ inline void gat_layer_fwd(const GatLayer<T>& L, const T* __restrict__ x,
   }
 
   gat_scores_fwd(L, b.xw, ea, s, d, n, e_in, b.scores, nd, act);
-  for (std::int64_t i = 0; i < e_all * heads; ++i)
-    act[i] = b.scores[i] > T(0) ? b.scores[i] : L.slope * b.scores[i];
+  {
+    // LeakyReLU over restrict-qualified locals: read through `b` and `L`,
+    // GCC versions this loop on a runtime alias check, and the library
+    // build ran it at ~1.3 us per layer at the serve shape, not ~0.1 us.
+    const T* __restrict__ scores = b.scores;
+    const T slope = L.slope;
+    for (std::int64_t i = 0; i < e_all * heads; ++i)
+      act[i] = scores[i] > T(0) ? scores[i] : slope * scores[i];
+  }
   std::fill(b.seg_sum, b.seg_sum + n * heads, 0.0);
   segment_softmax_fwd(act, d, b.alpha, seg_max, b.seg_sum, e_all, heads, n);
 
@@ -311,107 +490,166 @@ inline std::int64_t sort_perm_topk(const T* d, std::int64_t n, std::int64_t c,
   return keep;
 }
 
+namespace detail {
+
+/// GNU vector of N elements of T.  Plain element-wise arithmetic on it maps
+/// onto the target's SIMD registers without intrinsics or runtime dispatch.
+/// Vectors are loaded with memcpy (unaligned) and never passed or returned
+/// by value, which would depend on the target's vector ABI.
+template <typename T, int N>
+using Vec [[gnu::vector_size(N * sizeof(T))]] = T;
+
+/// Output positions per vector of the stride-1 conv, and output channels
+/// per vector of the strided conv.
+inline constexpr std::int64_t kConvPositions = 8;
+template <typename T>
+inline constexpr std::int64_t kConvLanes = 64 / sizeof(T);
+
+}  // namespace detail
+
+/// Elements of conv1d_fwd's caller scratch: a zero-padded copy of the input
+/// for stride 1, the weight transposed to channel-minor order otherwise.
+template <typename T>
+inline std::int64_t conv1d_scratch_size(std::int64_t cin, std::int64_t len,
+                                        std::int64_t cout, std::int64_t kernel,
+                                        std::int64_t stride) {
+  if (stride == 1) {
+    constexpr std::int64_t kPos = detail::kConvPositions;
+    const std::int64_t lout = len - kernel + 1;
+    return cin * ((lout + kPos - 1) / kPos * kPos + kernel - 1);
+  }
+  constexpr std::int64_t kLanes = detail::kConvLanes<T>;
+  return (cout + kLanes - 1) / kLanes * kLanes * cin * kernel;
+}
+
 /// 1-D convolution forward over a [cin, len] signal with weight
-/// [cout, cin*kernel] and optional bias [cout] (nullptr = no bias).  Two
-/// fixed-order layouts (see conv_ops.cpp for the rationale): stride == 1
-/// vectorises across output positions, strided splits each dot product into
-/// kLanes independent accumulators.
+/// [cout, cin*kernel] and optional bias [cout] (nullptr = no bias) into
+/// out [cout, lout], lout = (len - kernel) / stride + 1.  `scratch` holds
+/// conv1d_scratch_size<T>(...) elements.  The vectors run across outputs,
+/// never within one output's sum, so every output keeps its own fixed
+/// sequence of roundings (tests/conv_reference.h writes it out per output):
+///   * stride 1 (the second read-out conv): the bias, then one multiply-add
+///     per tap, (ic, t) ascending.  Eight output channels at a time, each a
+///     vector of kConvPositions consecutive positions; the input is copied
+///     into zero-padded rows so the last block's loads stay in bounds.
+///   * strided (the first read-out conv, kernel = stride = embedding width):
+///     per input channel, kLanes = 64 / sizeof(T) lane sums, each a
+///     multiply-add chain from +0 over the lane-wide steps of the kernel,
+///     added into the running sum in lane order, then the kernel % kLanes
+///     tail taps.  Vectors hold kLanes output channels, read from the weight
+///     transposed into scratch (the trainer's weights change every step, so
+///     the transpose runs on every call).
+/// A multiply-add is written `a * b + c` on whole vectors.  GCC contracts
+/// it into one FMA where the target has FMA (-ffp-contract=fast is its
+/// default for C++) and rounds twice where it does not, as in the sanitizer
+/// tree, which has no -march.  The strided tail pins where it rounds its
+/// products first, through __builtin_assoc_barrier (GCC 12 or later): at
+/// every position below lout - lout % 4, and at the last lout % 4 positions
+/// for its leading whole groups of 32 / sizeof(T) taps; the remaining taps
+/// fuse.  That position rule is how GCC 12 compiled the scalar loops this
+/// kernel replaced (4-position blocks; a 32-byte in-order reduction of the
+/// tail), kept so trained weights and logits did not move.  Unifying it
+/// changes bytes (DESIGN.md §2.4).
 template <typename T>
 inline void conv1d_fwd(const T* __restrict__ xd, const T* __restrict__ wd,
                        const T* __restrict__ bv, T* __restrict__ out,
                        std::int64_t cin, std::int64_t len, std::int64_t cout,
-                       std::int64_t kernel, std::int64_t stride) {
+                       std::int64_t kernel, std::int64_t stride,
+                       T* __restrict__ scratch) {
   const std::int64_t lout = (len - kernel) / stride + 1;
   if (stride == 1) {
-    // Short output rows (every model shape: lout = conv_out_len) are held
-    // in registers across the whole (ic, t) accumulation instead of being
-    // re-loaded/re-stored per tap; each orow[j] sees the same
-    // bias-then-`+= wv·x` sequence in the same order either way.
-    constexpr std::int64_t kMaxTile = 32;
-    if (lout <= kMaxTile) {
-      for (std::int64_t oc = 0; oc < cout; ++oc) {
-        T acc[kMaxTile];
-        const T b0 = bv != nullptr ? bv[oc] : T(0);
-        for (std::int64_t j = 0; j < lout; ++j) acc[j] = b0;
-        const T* wrow = wd + oc * cin * kernel;
-        for (std::int64_t ic = 0; ic < cin; ++ic) {
-          const T* xrow = xd + ic * len;
-          const T* wk = wrow + ic * kernel;
-          for (std::int64_t t = 0; t < kernel; ++t) {
-            const T wv = wk[t];
-            const T* __restrict__ xs = xrow + t;
-            for (std::int64_t j = 0; j < lout; ++j) acc[j] += wv * xs[j];
-          }
-        }
-        T* orow = out + oc * lout;
-        for (std::int64_t j = 0; j < lout; ++j) orow[j] = acc[j];
+    constexpr std::int64_t kPos = detail::kConvPositions;
+    constexpr int kChan = 8;
+    using V = detail::Vec<T, kPos>;
+    const std::int64_t plen = (lout + kPos - 1) / kPos * kPos + kernel - 1;
+    for (std::int64_t ic = 0; ic < cin; ++ic) {
+      T* row = scratch + ic * plen;
+      std::copy_n(xd + ic * len, len, row);
+      std::fill(row + len, row + plen, T(0));
+    }
+    for (std::int64_t oc0 = 0; oc0 < cout; oc0 += kChan) {
+      // Channels past cout repeat the last one; their sums are dropped.
+      const T* wrow[kChan];
+      T bias[kChan];
+      for (int c = 0; c < kChan; ++c) {
+        const std::int64_t oc = std::min<std::int64_t>(oc0 + c, cout - 1);
+        wrow[c] = wd + oc * cin * kernel;
+        bias[c] = bv != nullptr ? bv[oc] : T(0);
       }
-    } else {
-      for (std::int64_t oc = 0; oc < cout; ++oc) {
-        T* __restrict__ orow = out + oc * lout;
-        const T b0 = bv != nullptr ? bv[oc] : T(0);
-        for (std::int64_t j = 0; j < lout; ++j) orow[j] = b0;
-        const T* wrow = wd + oc * cin * kernel;
+      for (std::int64_t j0 = 0; j0 < lout; j0 += kPos) {
+        V acc[kChan];
+        for (int c = 0; c < kChan; ++c)
+          for (std::int64_t p = 0; p < kPos; ++p) acc[c][p] = bias[c];
         for (std::int64_t ic = 0; ic < cin; ++ic) {
-          const T* xrow = xd + ic * len;
-          const T* wk = wrow + ic * kernel;
+          const T* xs = scratch + ic * plen + j0;
           for (std::int64_t t = 0; t < kernel; ++t) {
-            const T wv = wk[t];
-            const T* __restrict__ xs = xrow + t;
-            for (std::int64_t j = 0; j < lout; ++j) orow[j] += wv * xs[j];
+            V xv;
+            std::memcpy(&xv, xs + t, sizeof xv);
+            for (int c = 0; c < kChan; ++c)
+              acc[c] = wrow[c][ic * kernel + t] * xv + acc[c];
           }
         }
+        const std::int64_t np = std::min(kPos, lout - j0);
+        for (int c = 0; c < kChan && oc0 + c < cout; ++c)
+          for (std::int64_t p = 0; p < np; ++p)
+            out[(oc0 + c) * lout + j0 + p] = acc[c][p];
       }
     }
-  } else {
-    constexpr int kLanes = 64 / sizeof(T);
-    // Blocks of 4 output positions share each streamed weight row: one
-    // independent lane array per position (a lane array is a single
-    // 64-byte vector), so the four dot products interleave without
-    // touching any one product's fixed lane/accumulation order, and the
-    // four dependency chains cover the FMA latency a single chain leaves
-    // idle.
-    constexpr std::int64_t JB = 4;
-    for (std::int64_t oc = 0; oc < cout; ++oc) {
-      const T* wrow = wd + oc * cin * kernel;
-      const T b0 = bv != nullptr ? bv[oc] : T(0);
-      std::int64_t j = 0;
-      for (; j + JB <= lout; j += JB) {
-        T acc[JB];
-        for (std::int64_t q = 0; q < JB; ++q) acc[q] = b0;
-        for (std::int64_t ic = 0; ic < cin; ++ic) {
-          const T* xrow = xd + ic * len + j * stride;
-          const T* wk = wrow + ic * kernel;
-          T lanes[JB][kLanes] = {};
-          std::int64_t t = 0;
-          for (; t + kLanes <= kernel; t += kLanes)
-            for (std::int64_t q = 0; q < JB; ++q)
-              for (int l = 0; l < kLanes; ++l)
-                lanes[q][l] += xrow[q * stride + t + l] * wk[t + l];
-          for (std::int64_t q = 0; q < JB; ++q)
-            for (int l = 0; l < kLanes; ++l) acc[q] += lanes[q][l];
-          for (; t < kernel; ++t)
-            for (std::int64_t q = 0; q < JB; ++q)
-              acc[q] += xrow[q * stride + t] * wk[t];
+    return;
+  }
+
+  constexpr std::int64_t kLanes = detail::kConvLanes<T>;
+  constexpr std::int64_t kTailGroup = 32 / sizeof(T);
+  using V = detail::Vec<T, kLanes>;
+  const std::int64_t blocks = (cout + kLanes - 1) / kLanes;
+  const std::int64_t taps = cin * kernel;
+  // scratch[(b * taps + i) * kLanes + c] = w[b * kLanes + c][i], zero for
+  // the channels past cout.
+  for (std::int64_t b = 0; b < blocks; ++b) {
+    T* dst = scratch + b * taps * kLanes;
+    const std::int64_t nc = std::min(kLanes, cout - b * kLanes);
+    if (nc < kLanes) std::fill(dst, dst + taps * kLanes, T(0));
+    for (std::int64_t c = 0; c < nc; ++c) {
+      const T* src = wd + (b * kLanes + c) * taps;
+      for (std::int64_t i = 0; i < taps; ++i) dst[i * kLanes + c] = src[i];
+    }
+  }
+  const std::int64_t steps = kernel / kLanes, tail = kernel % kLanes;
+  const std::int64_t blocked = lout - lout % 4;
+  for (std::int64_t b = 0; b < blocks; ++b) {
+    const std::int64_t nc = std::min(kLanes, cout - b * kLanes);
+    V bias = {};
+    if (bv != nullptr)
+      for (std::int64_t c = 0; c < nc; ++c) bias[c] = bv[b * kLanes + c];
+    const T* wb = scratch + b * taps * kLanes;
+    for (std::int64_t j = 0; j < lout; ++j) {
+      const std::int64_t rounded =
+          j < blocked ? tail : tail - tail % kTailGroup;
+      V acc = bias;
+      for (std::int64_t ic = 0; ic < cin; ++ic) {
+        const T* xs = xd + ic * len + j * stride;
+        const T* wk = wb + ic * kernel * kLanes;
+        V lanes[kLanes] = {};
+        V wv;
+        for (std::int64_t s = 0; s < steps; ++s)
+          for (std::int64_t l = 0; l < kLanes; ++l) {
+            const std::int64_t t = s * kLanes + l;
+            std::memcpy(&wv, wk + t * kLanes, sizeof wv);
+            lanes[l] = xs[t] * wv + lanes[l];
+          }
+        for (std::int64_t l = 0; l < kLanes; ++l) acc = acc + lanes[l];
+        std::int64_t t = steps * kLanes;
+        for (const std::int64_t end = t + rounded; t < end; ++t) {
+          std::memcpy(&wv, wk + t * kLanes, sizeof wv);
+          acc = acc + __builtin_assoc_barrier(xs[t] * wv);
         }
-        for (std::int64_t q = 0; q < JB; ++q) out[oc * lout + j + q] = acc[q];
-      }
-      for (; j < lout; ++j) {
-        T acc = b0;
-        const std::int64_t base = j * stride;
-        for (std::int64_t ic = 0; ic < cin; ++ic) {
-          const T* xrow = xd + ic * len + base;
-          const T* wk = wrow + ic * kernel;
-          T lanes[kLanes] = {};
-          std::int64_t t = 0;
-          for (; t + kLanes <= kernel; t += kLanes)
-            for (int l = 0; l < kLanes; ++l)
-              lanes[l] += xrow[t + l] * wk[t + l];
-          for (int l = 0; l < kLanes; ++l) acc += lanes[l];
-          for (; t < kernel; ++t) acc += xrow[t] * wk[t];
+        for (; t < kernel; ++t) {
+          std::memcpy(&wv, wk + t * kLanes, sizeof wv);
+          acc = xs[t] * wv + acc;
         }
-        out[oc * lout + j] = acc;
       }
+      for (std::int64_t c = 0; c < nc; ++c)
+        out[(b * kLanes + c) * lout + j] = acc[c];
     }
   }
 }
@@ -435,78 +673,6 @@ inline void max_pool1d_fwd(const T* __restrict__ xd, T* __restrict__ out,
       out[ch * lout + j] = xd[ch * len + best];
       argmax[ch * lout + j] = best;
     }
-}
-
-namespace detail {
-
-/// (float)std::tanh((double)x) bit for bit, for every one of the 2^32 f32
-/// inputs, as a branch-free f64 evaluation that gcc vectorizes:
-///   * |x| is clamped to 10 on the bit pattern: tanh rounds to 1.0f from
-///     ~9.01 on, and inf/NaN patterns clamp too (NaN is restored below);
-///   * em1 = expm1(-2|x|) by a Cody–Waite reduction -2|x| = k·ln2 + r,
-///     |r| <= ln2/2, with expm1(r) = r + r²·q(r) for a degree-9 q (the
-///     Chebyshev economization of its Taylor series on |r| <= 0.3467).  The
-///     leading r term keeps full relative precision near 0, so tiny and
-///     subnormal inputs come out exact;
-///   * tanh|x| = -em1 / (2 + em1), rounded once to f32;
-///   * the sign is ORed back in, and NaN inputs pass through quieted, as the
-///     f64 round trip quiets them.
-/// Every select is an integer operation: under gcc's default
-/// -ftrapping-math a float min/fmin clamp, copysign or a float `?:` turns
-/// into control flow that keeps the loop scalar.
-/// bench_tanh_exhaustive checks all 2^32 inputs.  It has passed with GCC 12.2
-/// on x86-64 both with -march=native on AVX-512, where the Horner steps are
-/// contracted into FMAs, and without -march, where every step rounds
-/// separately.  Another compiler or target needs a new sweep (DESIGN.md §2.4).
-inline float tanh_f32(float x) {
-  const auto u = std::bit_cast<std::uint32_t>(x);
-  const std::uint32_t mag = u & 0x7fffffffu;
-  constexpr std::uint32_t kTen = 0x41200000u;  // 10.0f
-  const double ax =
-      static_cast<double>(std::bit_cast<float>(mag < kTen ? mag : kTen));
-  const double y = -2.0 * ax;
-  // k = round(y / ln2) through the 1.5·2^52 shifter: the sum's low mantissa
-  // bits hold k, so 2^k is built in the exponent field without a conversion.
-  constexpr double kShift = 0x1.8p52;
-  const double ks = y * 0x1.71547652b82fep0 + kShift;
-  const double kd = ks - kShift;
-  const double r = (y - kd * 0x1.62e42feep-1) - kd * 0x1.a39ef35793c76p-33;
-  double q = 0x1.af4e09f575337p-26;
-  q = q * r + 0x1.28919d85e600cp-22;
-  q = q * r + 0x1.71de0221ee58cp-19;
-  q = q * r + 0x1.a019b8f8c56ffp-16;
-  q = q * r + 0x1.a01a01abecf31p-13;
-  q = q * r + 0x1.6c16c17891214p-10;
-  q = q * r + 0x1.11111111100d2p-7;
-  q = q * r + 0x1.5555555553d55p-5;
-  q = q * r + 0x1.5555555555557p-3;
-  q = q * r + 0x1.0000000000001p-1;
-  const double p = r + r * r * q;  // expm1(r)
-  const std::uint64_t k =
-      std::bit_cast<std::uint64_t>(ks) - std::bit_cast<std::uint64_t>(kShift);
-  const double scale = std::bit_cast<double>((k + 1023) << 52);  // 2^k, k <= 0
-  const double em1 = scale * p + (scale - 1.0);
-  const auto t = std::bit_cast<std::uint32_t>(
-      static_cast<float>(-em1 / (2.0 + em1)));
-  // `& 0x7fffffff`: x = +0 gives em1 = +0 and a -0 quotient.
-  const std::uint32_t out = (t & 0x7fffffffu) | (u & 0x80000000u);
-  const std::uint32_t nan = 0u - static_cast<std::uint32_t>(mag > 0x7f800000u);
-  return std::bit_cast<float>((out & ~nan) | ((u | 0x00400000u) & nan));
-}
-
-}  // namespace detail
-
-/// x[0..n) = tanh(x) in place: the activation of every message-passing layer,
-/// run by the trainer (ops::linear_tanh, ops::tanh_act) and the frozen
-/// forward alike.  f64 calls std::tanh; f32 runs detail::tanh_f32, which
-/// returns exactly (float)std::tanh((double)x) at ~13x the speed of libm.
-template <typename T>
-inline void tanh_inplace(T* __restrict__ x, std::int64_t n) {
-  if constexpr (std::is_same_v<T, float>) {
-    for (std::int64_t i = 0; i < n; ++i) x[i] = detail::tanh_f32(x[i]);
-  } else {
-    for (std::int64_t i = 0; i < n; ++i) x[i] = std::tanh(x[i]);
-  }
 }
 
 // ---- Relaxed-numerics kernels (quantized inference only, DESIGN.md §2.7) --

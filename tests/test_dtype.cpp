@@ -9,10 +9,12 @@
 // file (tests/CMakeLists.txt labels it `unit;dtype`).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -28,6 +30,7 @@
 #include "nn/mlp.h"
 #include "tensor/fwd_kernels.h"
 #include "tensor/ops.h"
+#include "tensor/segment_ops.h"
 #include "test_util.h"
 
 namespace amdgcnn {
@@ -462,6 +465,136 @@ TEST(TanhKernel, F64IsStdTanh) {
         ++failures <= 5)
       ADD_FAILURE() << "x=" << x[i];
   EXPECT_EQ(failures, 0u);
+}
+
+// ---- exact f32 exp kernel (fwd::exp_inplace) ---------------------------------
+//
+// The f32 kernel must return std::exp(float) bit for bit.  These cases sample
+// the 2^32 patterns: a strided sweep, the special inputs, both range ends and
+// the inputs whose results are subnormal; bench_tanh_exhaustive sweeps all
+// of them.
+
+/// Runs the kernel once over all `patterns` and counts the lanes whose bits
+/// differ from std::exp(float).
+void expect_exp_f32_exact(const std::vector<std::uint32_t>& patterns) {
+  std::vector<float> y(patterns.size());
+  for (std::size_t i = 0; i < y.size(); ++i)
+    y[i] = std::bit_cast<float>(patterns[i]);
+  ag::fwd::exp_inplace(y.data(), static_cast<std::int64_t>(y.size()));
+  std::size_t failures = 0;
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    const auto want =
+        std::bit_cast<std::uint32_t>(std::exp(std::bit_cast<float>(patterns[i])));
+    const auto got = std::bit_cast<std::uint32_t>(y[i]);
+    if (got != want && ++failures <= 5)
+      ADD_FAILURE() << std::hex << "x=0x" << patterns[i] << " got 0x" << got
+                    << " want 0x" << want;
+  }
+  EXPECT_EQ(failures, 0u) << "of " << patterns.size() << " patterns";
+}
+
+TEST(ExpKernel, F32StridedSweepOverAllBitPatterns) {
+  std::vector<std::uint32_t> patterns;
+  for (std::uint64_t b = 0; b < (std::uint64_t{1} << 32); b += 4093)
+    patterns.push_back(static_cast<std::uint32_t>(b));
+  expect_exp_f32_exact(patterns);
+}
+
+TEST(ExpKernel, F32SpecialValuesAndQuietedNaNs) {
+  std::vector<std::uint32_t> patterns;
+  // ±0 and the subnormal inputs next to them, ±inf, the largest finite.
+  add_run(patterns, 0, 4096);
+  for (const std::uint32_t b : {0x7f800000u, 0x7f7fffffu}) add_run(patterns, b, 1);
+  const std::vector<std::uint32_t> nans = {0x7f800001u, 0x7f812345u, 0x7fbfffffu,
+                                           0x7fc00000u, 0x7fc00001u, 0x7fd2468au,
+                                           0x7fffffffu};
+  for (const std::uint32_t b : nans) add_run(patterns, b, 1);
+  expect_exp_f32_exact(patterns);
+  // NaN payloads come back with the quiet bit set and the payload kept.
+  for (const std::uint32_t b : nans)
+    for (const std::uint32_t sign : {0u, 0x80000000u}) {
+      float y = std::bit_cast<float>(b | sign);
+      ag::fwd::exp_inplace(&y, 1);
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(y), b | sign | 0x00400000u)
+          << std::hex << "x=0x" << (b | sign);
+    }
+}
+
+TEST(ExpKernel, F32RangeEndsAndSubnormalResults) {
+  std::vector<std::uint32_t> patterns;
+  // ±1 ulp (and a dense run) around the overflow threshold 0x1.62e42ep6f
+  // and the underflow threshold -0x1.9fe368p6f.
+  for (const float t : {0x1.62e42ep6f, -0x1.9fe368p6f}) {
+    const auto b = std::bit_cast<std::uint32_t>(t);
+    for (const std::uint32_t v : {b - 1, b, b + 1}) patterns.push_back(v);
+    for (std::uint32_t i = 0; i < 8192; ++i) patterns.push_back(b - 4096 + i);
+  }
+  // Every input whose result is subnormal or rounds to the smallest
+  // subnormal: x in [-0x1.9fe368p6, log(2^-126)].
+  const auto lo = std::bit_cast<std::uint32_t>(std::log(0x1p-126f));
+  for (std::uint32_t b = lo - 64; b <= std::bit_cast<std::uint32_t>(-0x1.9fe368p6f);
+       ++b)
+    patterns.push_back(b);
+  expect_exp_f32_exact(patterns);
+}
+
+TEST(ExpKernel, F64IsStdExp) {
+  std::vector<double> x;
+  for (std::uint64_t b = 0; b < (std::uint64_t{1} << 32); b += 65521)
+    x.push_back(static_cast<double>(
+        std::bit_cast<float>(static_cast<std::uint32_t>(b))));
+  for (const double v : {0.0, -0.0, 1e-310, -1e-300, 0.5, -3.25, 709.78,
+                         -745.2, std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()})
+    x.push_back(v);
+  std::vector<double> y = x;
+  ag::fwd::exp_inplace(y.data(), static_cast<std::int64_t>(y.size()));
+  std::size_t failures = 0;
+  for (std::size_t i = 0; i < x.size(); ++i)
+    if (std::bit_cast<std::uint64_t>(y[i]) !=
+            std::bit_cast<std::uint64_t>(std::exp(x[i])) &&
+        ++failures <= 5)
+      ADD_FAILURE() << "x=" << x[i];
+  EXPECT_EQ(failures, 0u);
+}
+
+TEST(ExpKernel, SegmentSoftmaxEqualsPerElementStdExp) {
+  // ops::segment_softmax (the trainer's call site) against the softmax
+  // written with one std::exp per element: same max pass, same f64 sums in
+  // (edge, head) order, same division, at both widths.
+  util::Rng rng(97);
+  const std::int64_t e = 92, h = 4, segments = 32;
+  std::vector<std::int64_t> seg(static_cast<std::size_t>(e));
+  for (auto& v : seg)
+    v = static_cast<std::int64_t>(rng.uniform_int(std::uint64_t{segments}));
+  const auto check = [&](auto zero) {
+    using T = decltype(zero);
+    std::vector<T> sv(static_cast<std::size_t>(e * h));
+    for (auto& v : sv) v = static_cast<T>(3.0 * rng.normal());
+    const auto got = ag::ops::segment_softmax(
+        ag::Tensor::from_data({e, h}, sv), seg, segments);
+    std::vector<T> mx(static_cast<std::size_t>(segments * h),
+                      -std::numeric_limits<T>::infinity());
+    std::vector<double> sum(mx.size(), 0.0);
+    std::vector<T> ex(sv.size());
+    for (std::int64_t r = 0; r < e; ++r)
+      for (std::int64_t c = 0; c < h; ++c)
+        mx[seg[r] * h + c] = std::max(mx[seg[r] * h + c], sv[r * h + c]);
+    for (std::int64_t r = 0; r < e; ++r)
+      for (std::int64_t c = 0; c < h; ++c) {
+        ex[r * h + c] = std::exp(sv[r * h + c] - mx[seg[r] * h + c]);
+        sum[seg[r] * h + c] += static_cast<double>(ex[r * h + c]);
+      }
+    const auto& g = got.template data_as<T>();
+    for (std::int64_t i = 0; i < e * h; ++i) {
+      const auto want = static_cast<T>(static_cast<double>(ex[i]) /
+                                       sum[seg[i / h] * h + i % h]);
+      ASSERT_EQ(std::memcmp(&g[i], &want, sizeof(T)), 0) << "element " << i;
+    }
+  };
+  check(0.0f);
+  check(0.0);
 }
 
 TEST(DtypeTrainer, F32TrainingLearns) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <vector>
 
+#include "conv_reference.h"
 #include "tensor/conv_ops.h"
 #include "tensor/ops.h"
 #include "tensor/segment_ops.h"
@@ -222,6 +225,116 @@ TEST(Conv1d, RejectsBadShapes) {
   auto short_x = Tensor::from_data({1, 1}, {1});
   EXPECT_THROW(ops::conv1d(short_x, w, Tensor(), 2, 1),
                std::invalid_argument);
+}
+
+// ---- Read-out conv forward vs the scalar oracle (tests/conv_reference.h) --
+//
+// ops::conv1d is the trainer's call site of fwd::conv1d_fwd; the frozen
+// engine calls the same instantiation from the same library.  Every output
+// must equal the oracle bit for bit.
+
+struct ConvShape {
+  std::int64_t cin, lout, cout, kernel, stride;
+  bool bias;
+};
+
+/// Random normal data (or all zeros with a -0 bias, `zeros`) through
+/// ops::conv1d against conv1d_reference; reports the differing outputs.
+template <typename T>
+void expect_conv_matches_oracle(const ConvShape& s, util::Rng& rng,
+                                bool zeros = false) {
+  const std::int64_t len = (s.lout - 1) * s.stride + s.kernel;
+  const auto fill = [&](std::int64_t n) {
+    std::vector<T> v(static_cast<std::size_t>(n));
+    for (auto& e : v) e = zeros ? T(0) : static_cast<T>(rng.normal());
+    return v;
+  };
+  const std::vector<T> x = fill(s.cin * len);
+  const std::vector<T> w = [&] {
+    std::vector<T> v(static_cast<std::size_t>(s.cout * s.cin * s.kernel));
+    for (auto& e : v) e = static_cast<T>(rng.normal());
+    return v;
+  }();
+  std::vector<T> b = fill(s.cout);
+  if (zeros) std::fill(b.begin(), b.end(), T(-0.0));
+  const Tensor bt = s.bias ? Tensor::from_data({s.cout}, b) : Tensor();
+  const Tensor out = ops::conv1d(Tensor::from_data({s.cin, len}, x),
+                                 Tensor::from_data({s.cout, s.cin * s.kernel}, w),
+                                 bt, s.kernel, s.stride);
+  const std::vector<T> want = testing::conv1d_reference(
+      x.data(), w.data(), s.bias ? b.data() : nullptr, s.cin, len, s.cout,
+      s.kernel, s.stride);
+  const auto& got = out.data_as<T>();
+  ASSERT_EQ(got.size(), want.size());
+  std::size_t diff = 0;
+  for (std::size_t i = 0; i < want.size(); ++i)
+    if (std::memcmp(&got[i], &want[i], sizeof(T)) != 0) ++diff;
+  EXPECT_EQ(diff, 0u) << "of " << want.size() << " outputs at cin " << s.cin
+                      << " lout " << s.lout << " cout " << s.cout
+                      << " kernel " << s.kernel << " stride " << s.stride
+                      << " bias " << s.bias << " (" << sizeof(T) * 8
+                      << "-bit)";
+}
+
+/// Random shapes: cin 1-16, kernel 1-400, cout 1-40, lout 1-80, with and
+/// without bias; the stride cycles through 1, kernel and another value.
+template <typename T>
+void expect_random_convs_match_oracle(std::uint64_t seed) {
+  util::Rng rng(seed);
+  const auto draw = [&](std::int64_t lo, std::int64_t hi) {
+    return lo + static_cast<std::int64_t>(
+                    rng.uniform_int(static_cast<std::uint64_t>(hi - lo + 1)));
+  };
+  for (int trial = 0; trial < 36; ++trial) {
+    ConvShape s{draw(1, 16), draw(1, 80), draw(1, 40), draw(1, 400), 1,
+                trial % 2 == 0};
+    if (trial % 3 == 1) s.stride = s.kernel;
+    if (trial % 3 == 2) {
+      s.stride = draw(2, s.kernel + 8);
+      if (s.stride == s.kernel) ++s.stride;
+    }
+    expect_conv_matches_oracle<T>(s, rng);
+  }
+}
+
+TEST(Conv1dOracle, RandomShapesMatchBitForBitF32) {
+  expect_random_convs_match_oracle<float>(71);
+}
+
+TEST(Conv1dOracle, RandomShapesMatchBitForBitF64) {
+  expect_random_convs_match_oracle<double>(73);
+}
+
+TEST(Conv1dOracle, ModelShapesMatchBitForBit) {
+  // DGCNN read-out at sort_k 10 (tests), 24 (serving) and 30 (Cora
+  // defaults) over C = 97 channels: conv1 (1 -> 16, kernel = stride = C),
+  // then conv2 (16 -> 32, kernel 5, stride 1) over the pooled k/2 signal.
+  util::Rng rng(79);
+  for (const std::int64_t k : {10, 24, 30}) {
+    const ConvShape conv1{1, k, 16, 97, 97, true};
+    const ConvShape conv2{16, k / 2 - 4, 32, 5, 1, true};
+    for (int rep = 0; rep < 4; ++rep) {
+      expect_conv_matches_oracle<float>(conv1, rng);
+      expect_conv_matches_oracle<double>(conv1, rng);
+      expect_conv_matches_oracle<float>(conv2, rng);
+      expect_conv_matches_oracle<double>(conv2, rng);
+    }
+  }
+}
+
+TEST(Conv1dOracle, SignedZerosAndShortKernels) {
+  // A -0 bias over zero input keeps or loses its sign depending on which
+  // adds run (the strided lanes add +0 even when the kernel is shorter than
+  // a lane step); kernels shorter than a lane step run the tail taps only.
+  util::Rng rng(83);
+  for (const ConvShape& s :
+       {ConvShape{1, 7, 5, 5, 5, true}, ConvShape{3, 9, 17, 3, 2, true},
+        ConvShape{2, 6, 9, 20, 20, true}, ConvShape{4, 5, 33, 4, 1, true}}) {
+    expect_conv_matches_oracle<float>(s, rng, /*zeros=*/true);
+    expect_conv_matches_oracle<double>(s, rng, /*zeros=*/true);
+    expect_conv_matches_oracle<float>(s, rng);
+    expect_conv_matches_oracle<double>(s, rng);
+  }
 }
 
 TEST(MaxPool1d, KnownValues) {
