@@ -120,8 +120,11 @@ if [[ "${run_sanitize}" -eq 1 ]]; then
   # writes into per-worker gradient sinks; Conv1dOracle: the vectorized conv
   # forward's scratch (transposed weight, zero-padded input rows) and its
   # non-FMA rounding against tests/conv_reference.h (the exp kernel's tests,
-  # ExpKernel.*, run with the dtype suite below).
-  unit_tests='ParallelDatasetBuild|DrnlProperty|ExtractionProperty|DynamicGraphProperty|BufferPool|SortPoolEquivalence|GatConvOp|GATLayer|ParallelTrainer|Conv1dOracle'
+  # ExpKernel.*, run with the dtype suite below); Bfs.EpochKernel...: the
+  # epoch BFS's 8-byte slot map and its row prefetches, whose addresses come
+  # from loaded CSR offsets (the scale suite below covers the same hints on
+  # mapped and overlay-patched graphs).
+  unit_tests='ParallelDatasetBuild|DrnlProperty|ExtractionProperty|DynamicGraphProperty|BufferPool|SortPoolEquivalence|GatConvOp|GATLayer|ParallelTrainer|Conv1dOracle|Bfs\.EpochKernelMatchesReferenceBfs'
   require_tests "${asan_dir}" -R "${unit_tests}"
   ctest --test-dir "${asan_dir}" --output-on-failure -R "${unit_tests}"
   require_tests "${asan_dir}" -L dtype

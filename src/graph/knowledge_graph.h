@@ -176,6 +176,37 @@ class KnowledgeGraph {
   std::span<const Adjacent> neighbors(NodeId v) const;
   std::int64_t degree(NodeId v) const;
 
+  // ---- Cache hints ----------------------------------------------------------
+  //
+  // On a graph far larger than the caches each of these reads is one DRAM
+  // miss; hinting a batch of them before the reads lets the misses overlap
+  // (DESIGN.md §2.6).  They change no result, and an id out of range (or an
+  // unfinalized graph, for rows) makes them a no-op.
+
+  enum class RowStep { kOffset, kAdjacency };
+  /// Hint a later neighbors(v) in two steps, issued some rows apart:
+  /// kOffset fetches v's CSR offset; kAdjacency reads it and fetches the
+  /// row's first line (the patched list when the overlay holds one).
+  void prefetch_row(NodeId v, RowStep step) const {
+    if (!finalized_ || !in_range(v, num_nodes())) return;
+    const std::int64_t* off = offsets_data() + v;
+    if (step == RowStep::kOffset) {
+      __builtin_prefetch(off);
+    } else if (const auto* patched = overlay_.find(v)) {
+      __builtin_prefetch(patched->data());
+    } else {
+      __builtin_prefetch(adjacency_data() + *off);
+    }
+  }
+  /// Hint a later node_type(v).
+  void prefetch_node_type(NodeId v) const {
+    if (in_range(v, num_nodes())) __builtin_prefetch(node_type_data() + v);
+  }
+  /// Hint a later edge(e) / edge_attr(e).
+  void prefetch_edge(EdgeId e) const {
+    if (in_range(e, num_edges())) __builtin_prefetch(&edge_rec(e));
+  }
+
   /// Edge id connecting u and v, or -1.  O(min-degree).
   EdgeId find_edge(NodeId u, NodeId v) const;
   bool has_edge(NodeId u, NodeId v) const { return find_edge(u, v) >= 0; }
@@ -200,6 +231,9 @@ class KnowledgeGraph {
  private:
   friend class SnapshotMapping;  // load_snapshot wiring (graph/snapshot.cpp)
 
+  static bool in_range(std::int32_t id, std::int64_t count) {
+    return id >= 0 && id < count;
+  }
   void require_finalized(const char* what) const;
   void require_not_finalized(const char* what) const;
   /// (Re)build offsets_/adjacency_ from edges_ (counting sort by edge id).

@@ -14,9 +14,9 @@ namespace amdgcnn::graph {
 namespace {
 
 /// Scratch buffer borrowed from the calling thread's int32 pool and returned
-/// on destruction.  Each worker of the parallel dataset build recycles the
-/// same distance maps / frontier queues / CSR scratch across its links, so
-/// steady-state extraction performs no heap allocation (DESIGN.md §2.2).
+/// on destruction: the legacy clear-per-link kernel's O(N) distance maps,
+/// queue and local-id map (DESIGN.md §2.2).  The epoch kernel keeps its
+/// scratch in ExtractScratch instead.
 struct PooledI32 {
   std::vector<std::int32_t> v;
   explicit PooledI32(std::size_t n)
@@ -65,10 +65,7 @@ struct ExtractScratch {
   std::vector<NodeId> va, vb;  // frontier node lists (discovery order)
   std::vector<NodeId> merged;  // sorted union minus the targets
   std::vector<NodeId> sort_tmp;  // radix-sort scratch for `merged`
-  // Original-id -> local-id map, epoch-stamped like the visited maps.
-  std::vector<std::int32_t> local_id;
-  std::vector<std::uint32_t> local_stamp;
-  std::uint32_t local_epoch = 0;
+  VisitEpochMap local_id;      // original id -> local id
   // Local-CSR / DRNL scratch.
   std::vector<std::int32_t> off, ladj, cursor, queue;
 };
@@ -76,36 +73,6 @@ struct ExtractScratch {
 ExtractScratch& tls_scratch() {
   thread_local ExtractScratch s;
   return s;
-}
-
-/// Epoch-stamped sparse map NodeId -> local id (get returns -1 when unset
-/// this epoch).  Same wrap discipline as VisitEpochMap.
-struct EpochLocalMap {
-  std::vector<std::int32_t>& id;
-  std::vector<std::uint32_t>& stamp;
-  std::uint32_t epoch;
-  void set(NodeId v, std::int32_t lid) {
-    stamp[static_cast<std::size_t>(v)] = epoch;
-    id[static_cast<std::size_t>(v)] = lid;
-  }
-  std::int32_t get(NodeId v) const {
-    return stamp[static_cast<std::size_t>(v)] == epoch
-               ? id[static_cast<std::size_t>(v)]
-               : -1;
-  }
-};
-
-EpochLocalMap begin_local_epoch(ExtractScratch& s, std::int64_t num_nodes) {
-  const auto n = static_cast<std::size_t>(num_nodes);
-  if (s.local_stamp.size() < n) {
-    s.local_stamp.resize(n, 0u);
-    s.local_id.resize(n);
-  }
-  if (++s.local_epoch == 0) {
-    std::fill(s.local_stamp.begin(), s.local_stamp.end(), 0u);
-    s.local_epoch = 1;
-  }
-  return {s.local_id, s.local_stamp, s.local_epoch};
 }
 
 /// Dense local-id map over a pooled full-size array (the legacy kernel's
@@ -117,6 +84,28 @@ struct DenseLocalMap {
   }
   void set(NodeId v, std::int32_t lid) { buf.v[v] = lid; }
   std::int32_t get(NodeId v) const { return buf.v[v]; }
+};
+
+/// 4096-bit membership filter over one link's kept node ids (multiplicative
+/// hash).  It fits in L1, so the induced-edge scan rejects nearly every
+/// neighbor outside the subgraph without reading the O(N) local-id map.  A
+/// set bit may be a collision; the local-id map decides.
+class KeptFilter {
+ public:
+  void insert(NodeId v) {
+    const std::uint32_t h = hash(v);
+    bits_[h >> 6] |= std::uint64_t{1} << (h & 63);
+  }
+  bool may_contain(NodeId v) const {
+    const std::uint32_t h = hash(v);
+    return (bits_[h >> 6] >> (h & 63)) & 1;
+  }
+
+ private:
+  static std::uint32_t hash(NodeId v) {
+    return (static_cast<std::uint32_t>(v) * 0x9E3779B1u) >> 20;
+  }
+  std::array<std::uint64_t, 64> bits_{};
 };
 
 /// Shared tail of both kernels: size cap, node list, edge induction, local
@@ -166,15 +155,25 @@ void finish_subgraph(const KnowledgeGraph& g, NodeId a, NodeId b,
   sub.nodes.push_back(b);
   sub.nodes.insert(sub.nodes.end(), candidates.begin(), candidates.end());
 
-  for (std::size_t i = 0; i < sub.nodes.size(); ++i)
+  // The scan below reads every kept node's row: hint them all first, so
+  // their misses overlap.
+  using RowStep = KnowledgeGraph::RowStep;
+  for (const NodeId v : sub.nodes) g.prefetch_row(v, RowStep::kOffset);
+  for (const NodeId v : sub.nodes) g.prefetch_row(v, RowStep::kAdjacency);
+  KeptFilter kept;
+  for (std::size_t i = 0; i < sub.nodes.size(); ++i) {
     local_of.set(sub.nodes[i], static_cast<std::int32_t>(i));
+    kept.insert(sub.nodes[i]);
+  }
 
   // Induce edges: both endpoints inside, target link excluded.  Each
-  // undirected edge is visited from both endpoints; keep it once.
+  // undirected edge is visited from both endpoints; keep it once.  Most
+  // neighbors are not kept, and the filter rejects nearly all of them
+  // without reading the O(N) local-id map.
   for (std::size_t i = 0; i < sub.nodes.size(); ++i) {
     const NodeId u = sub.nodes[i];
     for (const auto& adj : g.neighbors(u)) {
-      if (adj.edge == masked_edge) continue;
+      if (adj.edge == masked_edge || !kept.may_contain(adj.node)) continue;
       const std::int32_t lv = local_of.get(adj.node);
       if (lv < 0) continue;
       const std::int32_t lu = static_cast<std::int32_t>(i);
@@ -313,7 +312,7 @@ const std::vector<NodeId>& bfs_frontier(const KnowledgeGraph& g,
     f->nodes = scratch;
     f->dist.resize(scratch.size());
     for (std::size_t i = 0; i < scratch.size(); ++i)
-      f->dist[i] = visit.distance(scratch[i]);
+      f->dist[i] = visit.get(scratch[i]);
     *slot = std::move(f);
   }
   return scratch;
@@ -359,11 +358,11 @@ EnclosingSubgraph extract_epoch(const KnowledgeGraph& g, NodeId a, NodeId b,
       if (s.da.visited(v) && s.db.visited(v)) candidates.push_back(v);
   }
 
-  EpochLocalMap local_of = begin_local_epoch(s, g.num_nodes());
+  s.local_id.begin(g.num_nodes());
   finish_subgraph(
       g, a, b, masked_edge, options, candidates, sub,
-      [&](NodeId v) { return s.da.distance(v); },
-      [&](NodeId v) { return s.db.distance(v); }, local_of, s.off, s.ladj,
+      [&](NodeId v) { return s.da.get(v); },
+      [&](NodeId v) { return s.db.get(v); }, s.local_id, s.off, s.ladj,
       s.cursor, s.queue);
   return sub;
 }

@@ -29,49 +29,57 @@ std::vector<std::int32_t> bfs_distances(const KnowledgeGraph& g, NodeId source,
 
 /// Allocation-free variant for hot loops: fills `dist` (resized to
 /// g.num_nodes()) and uses `queue` as the BFS frontier.  Both vectors are
-/// caller-provided scratch — the parallel dataset build hands each worker
-/// buffers borrowed from its thread-local pool (ag::detail::i32_buffer_pool),
-/// so per-link traversals allocate nothing in steady state.
+/// caller-provided scratch — the legacy clear-per-link extraction kernel
+/// borrows them from its thread's pool (ag::detail::i32_buffer_pool).
 void bfs_distances_into(const KnowledgeGraph& g, NodeId source,
                         const BfsOptions& options,
                         std::vector<std::int32_t>& dist,
                         std::vector<NodeId>& queue);
 
-/// Epoch-stamped visited/distance map (DESIGN.md §2.6): resetting for a new
+/// Epoch-stamped map NodeId -> int32 (DESIGN.md §2.6): resetting for a new
 /// traversal bumps a 32-bit epoch counter instead of clearing the O(N)
-/// distance array, so a bounded BFS on a million-node graph costs only the
-/// nodes it actually reaches.  A slot is valid iff its stamp equals the
-/// current epoch; stale slots from earlier traversals are never read.
+/// array, so a bounded BFS on a million-node graph costs only the nodes it
+/// actually reaches.  Each node owns one 8-byte (stamp, value) slot, so a
+/// visit or a lookup reads one cache line.  A slot is valid iff its stamp
+/// equals the current epoch; stale slots from earlier traversals are never
+/// read.  The BFS below stores distances in it, and extraction also keeps
+/// its original -> local id map in one.
 class VisitEpochMap {
  public:
   /// Start a new epoch over a graph of `num_nodes` nodes.  Grows the
-  /// backing arrays on first use / graph growth (amortised; steady-state
+  /// backing array on first use / graph growth (amortised; steady-state
   /// O(1)).  Handles 32-bit epoch wraparound by a one-off full clear.
   void begin(std::int64_t num_nodes);
 
   bool visited(NodeId v) const {
-    return stamp_[static_cast<std::size_t>(v)] == epoch_;
+    return slots_[static_cast<std::size_t>(v)].stamp == epoch_;
   }
-  /// Distance of v in the current epoch, or kUnreachable if unvisited.
-  std::int32_t distance(NodeId v) const {
-    return visited(v) ? dist_[static_cast<std::size_t>(v)] : kUnreachable;
+  /// Value of v in the current epoch (its distance, for a BFS map), or
+  /// kUnreachable (-1) if unset.
+  std::int32_t get(NodeId v) const {
+    const Slot s = slots_[static_cast<std::size_t>(v)];
+    return s.stamp == epoch_ ? s.value : kUnreachable;
   }
-  void set(NodeId v, std::int32_t d) {
-    stamp_[static_cast<std::size_t>(v)] = epoch_;
-    dist_[static_cast<std::size_t>(v)] = d;
+  void set(NodeId v, std::int32_t value) {
+    slots_[static_cast<std::size_t>(v)] = {epoch_, value};
   }
 
  private:
-  std::vector<std::int32_t> dist_;
-  std::vector<std::uint32_t> stamp_;  // slot valid iff == epoch_
-  std::uint32_t epoch_ = 0;           // 0 = no epoch started yet
+  struct alignas(8) Slot {
+    std::uint32_t stamp;  // slot valid iff == epoch_
+    std::int32_t value;
+  };
+  std::vector<Slot> slots_;
+  std::uint32_t epoch_ = 0;  // 0 = no epoch started yet
 };
 
 /// Bounded BFS into an epoch map: `visit` must be begin()-ed for this graph
 /// by the caller; visited nodes (the hop-bounded frontier, source first, in
 /// discovery order) are appended to `visited_out` (cleared first), which
-/// doubles as the frontier queue.  Produces exactly the distances of
-/// bfs_distances_into — only the clearing cost differs.
+/// doubles as the frontier queue.  Produces exactly the distances and the
+/// discovery order of bfs_distances_into — only the clearing cost differs.
+/// The rows of queued nodes it will expand are prefetched a few queue
+/// positions ahead (DESIGN.md §2.6).
 void bfs_distances_epoch(const KnowledgeGraph& g, NodeId source,
                          const BfsOptions& options, VisitEpochMap& visit,
                          std::vector<NodeId>& visited_out);

@@ -1,6 +1,7 @@
 #include "seal/feature_builder.h"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
 #include "seal/drnl.h"
@@ -72,13 +73,12 @@ void fill_sample_tensors(const graph::KnowledgeGraph& g,
   std::vector<T> eattr;
   if (ed > 0) eattr.reserve(static_cast<std::size_t>(e2 * ed));
   for (const auto& le : sub.edges) {
+    std::span<const double> attr;
+    if (ed > 0) attr = g.edge_attr(le.orig);
     for (int orient = 0; orient < 2; ++orient) {
       sample.src.push_back(orient == 0 ? le.src : le.dst);
       sample.dst.push_back(orient == 0 ? le.dst : le.src);
-      if (ed > 0) {
-        auto a = g.edge_attr(le.orig);
-        for (double v : a) eattr.push_back(static_cast<T>(v));
-      }
+      for (const double v : attr) eattr.push_back(static_cast<T>(v));
     }
   }
   if (ed > 0)
@@ -101,6 +101,15 @@ SubgraphSample build_sample(const graph::KnowledgeGraph& g,
   const std::int64_t f = node_feature_dim(g, options);
   if (f == 0)
     throw std::invalid_argument("build_sample: empty feature configuration");
+
+  // The fill reads one node type per kept node and one edge record per
+  // induced edge, scattered over O(N) and O(E) graph arrays: hint them all
+  // first, so their cache misses overlap instead of queueing behind the
+  // fill.
+  if (options.use_node_type)
+    for (const graph::NodeId v : sub.nodes) g.prefetch_node_type(v);
+  if (g.edge_attr_dim() > 0)
+    for (const auto& le : sub.edges) g.prefetch_edge(le.orig);
 
   SubgraphSample sample;
   sample.num_nodes = n;

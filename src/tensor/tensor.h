@@ -219,9 +219,9 @@ using BufferPool = BasicBufferPool<double>;
 /// destructors can run safely during static/thread teardown.
 BufferPool& buffer_pool();
 
-/// The calling thread's int32 scratch pool — BFS distance maps and frontier
-/// queues of the parallel dataset build borrow from it (graph/traversal.cpp),
-/// so per-link extraction is allocation-free in steady state.
+/// The calling thread's int32 scratch pool — the legacy clear-per-link
+/// extraction kernel borrows its O(N) distance maps, queue and local-id map
+/// from it (graph/subgraph.cpp); the default epoch kernel does not.
 BasicBufferPool<std::int32_t>& i32_buffer_pool();
 
 /// The calling thread's float pool — storage of f32 tensors.  Kept separate

@@ -1,9 +1,15 @@
 // KnowledgeGraph container + traversal tests.
 #include <gtest/gtest.h>
 
+#include <queue>
+#include <string>
+#include <vector>
+
+#include "datasets/kg_generator.h"
 #include "graph/knowledge_graph.h"
 #include "graph/traversal.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace amdgcnn::graph {
 namespace {
@@ -128,6 +134,101 @@ TEST(Bfs, MaskedSourceYieldsAllUnreachable) {
   opts.masked_node = 0;
   auto d = bfs_distances(g, 0, opts);
   for (auto v : d) EXPECT_EQ(v, kUnreachable);
+}
+
+/// Plain std::queue BFS over an O(N) distance array: the reference for the
+/// epoch kernel, discovery order included.
+struct ReferenceBfs {
+  std::vector<std::int32_t> dist;
+  std::vector<NodeId> order;
+};
+
+ReferenceBfs reference_bfs(const KnowledgeGraph& g, NodeId source,
+                           const BfsOptions& o) {
+  ReferenceBfs r;
+  r.dist.assign(static_cast<std::size_t>(g.num_nodes()), kUnreachable);
+  if (source == o.masked_node) return r;
+  std::queue<NodeId> q;
+  r.dist[source] = 0;
+  q.push(source);
+  while (!q.empty()) {
+    const NodeId u = q.front();
+    q.pop();
+    r.order.push_back(u);
+    if (o.max_depth >= 0 && r.dist[u] >= o.max_depth) continue;
+    for (const auto& a : g.neighbors(u)) {
+      if (a.edge == o.masked_edge || a.node == o.masked_node ||
+          r.dist[a.node] != kUnreachable)
+        continue;
+      r.dist[a.node] = r.dist[u] + 1;
+      q.push(a.node);
+    }
+  }
+  return r;
+}
+
+// The epoch kernel counts depths per queue run, stops at the first node at
+// max_depth and prefetches rows ahead; none of that may change a distance or
+// the discovery order.  One map serves every traversal, so a slot leaking
+// from an earlier epoch into a later one would show up as a distance.
+TEST(Bfs, EpochKernelMatchesReferenceBfs) {
+  datasets::RandomKGOptions ro;
+  ro.num_nodes = 400;
+  ro.num_edges = 1200;
+  ro.seed = 3;
+  datasets::ScaleKGOptions so;  // skewed endpoints: low ids are hubs
+  so.num_nodes = 10000;
+  so.seed = 5;
+  std::vector<KnowledgeGraph> graphs;
+  graphs.push_back(datasets::make_random_kg(ro));
+  graphs.push_back(datasets::make_scale_kg(so));
+
+  VisitEpochMap visit;
+  std::vector<NodeId> order;
+  std::vector<std::int32_t> got;
+  util::Rng rng(11);
+  int traversals = 0;
+  for (const auto& g : graphs) {
+    const auto n = static_cast<std::uint64_t>(g.num_nodes());
+    for (int trial = 0; trial < 50; ++trial) {
+      // Every fifth source is drawn from the lowest ids (the hubs).
+      const auto source =
+          static_cast<NodeId>(rng.uniform_int(trial % 5 == 0 ? 50 : n));
+      const auto nbrs = g.neighbors(source);
+      for (const std::int32_t depth : {-1, 0, 1, 2, 3}) {
+        for (const bool mask_edge : {false, true}) {
+          for (const bool mask_node : {false, true}) {
+            BfsOptions o;
+            o.max_depth = depth;
+            // Masks next to the source cut real paths; every tenth trial
+            // masks the source itself.
+            if (mask_edge && !nbrs.empty())
+              o.masked_edge = nbrs[rng.uniform_int(nbrs.size())].edge;
+            if (mask_node && trial % 10 == 0)
+              o.masked_node = source;
+            else if (mask_node && !nbrs.empty())
+              o.masked_node = nbrs[rng.uniform_int(nbrs.size())].node;
+            visit.begin(g.num_nodes());
+            bfs_distances_epoch(g, source, o, visit, order);
+            const auto want = reference_bfs(g, source, o);
+            const std::string what =
+                "nodes=" + std::to_string(g.num_nodes()) +
+                " source=" + std::to_string(source) +
+                " depth=" + std::to_string(depth) +
+                " masked_edge=" + std::to_string(o.masked_edge) +
+                " masked_node=" + std::to_string(o.masked_node);
+            ASSERT_EQ(order, want.order) << what;
+            got.resize(want.dist.size());
+            for (std::size_t v = 0; v < got.size(); ++v)
+              got[v] = visit.get(static_cast<NodeId>(v));
+            ASSERT_EQ(got, want.dist) << what;
+            ++traversals;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(traversals, 1000);
 }
 
 TEST(KHop, CollectsExactNeighborhood) {

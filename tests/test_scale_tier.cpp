@@ -378,23 +378,30 @@ TEST(EpochExtraction, MatchesLegacyKernelOnRandomGraphs) {
       ASSERT_LT(masked, links.size());
       for (const auto mode : {graph::NeighborhoodMode::kUnion,
                               graph::NeighborhoodMode::kIntersection}) {
-        graph::ExtractOptions legacy;
-        legacy.mode = mode;
-        legacy.num_hops = 2;
-        legacy.max_nodes = 20;
-        legacy.collect_hull = true;
-        legacy.clear_per_link = true;
-        auto epoch = legacy;
-        epoch.clear_per_link = false;
-        for (const auto& l : links) {
-          const auto want = extract_enclosing_subgraph(g, l.a, l.b, legacy);
-          const std::string what =
-              "seed=" + std::to_string(seed) +
-              " mutate=" + std::to_string(mutate) + " link=(" +
-              std::to_string(l.a) + "," + std::to_string(l.b) + ")";
-          expect_subgraphs_equal(extract_enclosing_subgraph(g, l.a, l.b, epoch),
-                                 want, what + " epoch");
-          expect_slotted_extractions_equal(g, l, epoch, want, what);
+        for (const std::int32_t hops : {1, 2, 3}) {
+          for (const std::int64_t cap : {20, 3}) {
+            graph::ExtractOptions legacy;
+            legacy.mode = mode;
+            legacy.num_hops = hops;
+            legacy.max_nodes = cap;
+            legacy.collect_hull = true;
+            legacy.clear_per_link = true;
+            auto epoch = legacy;
+            epoch.clear_per_link = false;
+            for (const auto& l : links) {
+              const auto want = extract_enclosing_subgraph(g, l.a, l.b, legacy);
+              const std::string what =
+                  "seed=" + std::to_string(seed) +
+                  " mutate=" + std::to_string(mutate) +
+                  " hops=" + std::to_string(hops) +
+                  " cap=" + std::to_string(cap) + " link=(" +
+                  std::to_string(l.a) + "," + std::to_string(l.b) + ")";
+              expect_subgraphs_equal(
+                  extract_enclosing_subgraph(g, l.a, l.b, epoch), want,
+                  what + " epoch");
+              expect_slotted_extractions_equal(g, l, epoch, want, what);
+            }
+          }
         }
       }
     }
@@ -416,25 +423,32 @@ TEST(EpochExtraction, MatchesLegacyKernelOnLargeNeighborhoods) {
         with_edge_links(g, random_links(g, 12, /*num_classes=*/2, 17));
     for (const auto mode : {graph::NeighborhoodMode::kUnion,
                             graph::NeighborhoodMode::kIntersection}) {
-      for (const std::int64_t cap : {0, 32}) {
-        graph::ExtractOptions legacy;
-        legacy.mode = mode;
-        legacy.num_hops = 2;
-        legacy.max_nodes = cap;
-        legacy.collect_hull = true;
-        legacy.clear_per_link = true;
-        auto epoch = legacy;
-        epoch.clear_per_link = false;
-        for (const auto& l : links) {
-          const auto want = extract_enclosing_subgraph(g, l.a, l.b, legacy);
-          ASSERT_GT(want.hull.size(), 256u);
-          const std::string what =
-              "nodes=" + std::to_string(nodes) + " cap=" +
-              std::to_string(cap) + " link=(" + std::to_string(l.a) + "," +
-              std::to_string(l.b) + ")";
-          expect_subgraphs_equal(extract_enclosing_subgraph(g, l.a, l.b, epoch),
-                                 want, what);
-          expect_slotted_extractions_equal(g, l, epoch, want, what);
+      for (const std::int32_t hops : {1, 2, 3}) {
+        for (const std::int64_t cap : {0, 32, 3}) {
+          graph::ExtractOptions legacy;
+          legacy.mode = mode;
+          legacy.num_hops = hops;
+          legacy.max_nodes = cap;
+          legacy.collect_hull = true;
+          legacy.clear_per_link = true;
+          auto epoch = legacy;
+          epoch.clear_per_link = false;
+          for (const auto& l : links) {
+            const auto want = extract_enclosing_subgraph(g, l.a, l.b, legacy);
+            // One hop reaches ~2 x 24 nodes; from two hops on the unions
+            // are large enough to take the radix sort.
+            if (hops >= 2) {
+              ASSERT_GT(want.hull.size(), 256u);
+            }
+            const std::string what =
+                "nodes=" + std::to_string(nodes) +
+                " hops=" + std::to_string(hops) + " cap=" +
+                std::to_string(cap) + " link=(" + std::to_string(l.a) + "," +
+                std::to_string(l.b) + ")";
+            expect_subgraphs_equal(
+                extract_enclosing_subgraph(g, l.a, l.b, epoch), want, what);
+            expect_slotted_extractions_equal(g, l, epoch, want, what);
+          }
         }
       }
     }
