@@ -136,12 +136,13 @@ BENCHMARK_TEMPLATE(BM_GatLayer, double);
 
 /// The stages of the shared forward kernel fwd::gat_layer_fwd at the same
 /// shape, one per row, plus the layer's tanh (run by the caller):
-/// 0 projection (x·W, edge_attr·W_e), 1 scores, 2 messages, 3 scatter +
-/// bias, 4 tanh, 5 the whole kernel.  The rows instantiate the kernels in
-/// this file at the fixture's constant shapes, so they are a coarse split of
-/// where the layer's time goes, not a measurement of the library's code
-/// (DESIGN.md §2.4); the softmax is timed through the library by
-/// BM_SegmentSoftmaxForward.
+/// 0 projection (x·W, edge_attr·W_e), 1 attention dots (per node with a_src
+/// and a_dst, per edge with a_edge), 2 logits + LeakyReLU, 3 aggregation
+/// (bias, then message and scatter in one pass), 4 tanh, 5 the whole
+/// kernel.  The rows instantiate the kernels in this file at the fixture's
+/// constant shapes, so they are a coarse split of where the layer's time
+/// goes, not a measurement of the library's code (DESIGN.md §2.4); the
+/// softmax is timed through the library by BM_SegmentSoftmaxForward.
 template <typename T>
 void BM_GatLayerStage(benchmark::State& state) {
   namespace fwd = ag::fwd;
@@ -163,20 +164,22 @@ void BM_GatLayerStage(benchmark::State& state) {
   }
   std::vector<T> xw(n * hf), ea(e_in * hf), scores(e_all * heads),
       alpha(e_all * heads), out(n * hf),
-      scratch(fwd::gat_scratch_size(n, e_all, hf, heads));
+      scratch(fwd::gat_scratch_size(n, e_all, heads));
   std::vector<double> seg_sum(n * heads);
   const fwd::GatBuffers<T> b{xw.data(),     ea.data(),     scores.data(),
                              alpha.data(),  scratch.data(), seg_sum.data()};
   const T* x = fix.x.template data_as<T>().data();
   const T* eattr = fix.edge_attr.template data_as<T>().data();
-  T* nd = scratch.data();
-  T* act = nd + 2 * n * heads;
-  T* msg = act + e_all * heads + n * heads;  // past the segment maxima
+  // gat_layer_fwd's scratch layout.
+  T* nd_src = scratch.data();
+  T* nd_dst = nd_src + n * heads;
+  T* act = nd_dst + 2 * n * heads;  // past the segment maxima
+  T* ed = act + e_all * heads;
   fwd::gat_layer_fwd(L, x, eattr, s.data(), d.data(), n, e_in, b, out.data());
 
   const int stage = static_cast<int>(state.range(0));
-  static const char* const kNames[] = {"projection", "scores", "messages",
-                                       "scatter",    "tanh",   "layer"};
+  static const char* const kNames[] = {"projection",  "dots", "logits",
+                                       "aggregation", "tanh", "layer"};
   state.SetLabel(kNames[stage]);
   for (auto _ : state) {
     switch (stage) {
@@ -187,16 +190,18 @@ void BM_GatLayerStage(benchmark::State& state) {
         ag::kern::mm_add(eattr, L.w_e, ea.data(), e_in, L.edge_dim, hf);
         break;
       case 1:
-        fwd::gat_scores_fwd(L, xw.data(), ea.data(), s.data(), d.data(), n,
-                            e_in, scores.data(), nd, act);
+        fwd::heads_dot2_fwd(xw.data(), L.a_src, L.a_dst, nd_src, nd_dst, n,
+                            hf, heads);
+        fwd::heads_dot_fwd(ea.data(), L.a_edge, ed, e_in, hf, heads);
         break;
       case 2:
-        fwd::gat_messages_fwd(xw.data(), ea.data(), alpha.data(), s.data(),
-                              e_in, e_all, hf, heads, msg);
+        fwd::gat_logits_fwd(nd_src, nd_dst, ed, s.data(), d.data(), e_in,
+                            e_all, heads, L.slope, scores.data(), act);
         break;
       case 3:
-        fwd::scatter_add_bias_fwd(msg, d.data(), e_all, n, hf, L.bias,
-                                  out.data());
+        fwd::gat_aggregate_fwd(xw.data(), ea.data(), alpha.data(), s.data(),
+                               d.data(), n, e_in, hf, heads, L.bias,
+                               out.data());
         break;
       case 4:
         fwd::tanh_inplace(out.data(), n * hf);

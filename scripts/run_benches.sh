@@ -116,15 +116,19 @@ if [[ "${run_sanitize}" -eq 1 ]]; then
   # generation.
   "${asan_dir}/bench/bench_tanh_exhaustive"
   # GatConvOp / GATLayer: the fused GAT layer's pooled saved state and its
-  # gradient writes through detail::grad_of; ParallelTrainer: the same
-  # writes into per-worker gradient sinks; Conv1dOracle: the vectorized conv
-  # forward's scratch (transposed weight, zero-padded input rows) and its
-  # non-FMA rounding against tests/conv_reference.h (the exp kernel's tests,
-  # ExpKernel.*, run with the dtype suite below); Bfs.EpochKernel...: the
+  # gradient writes through detail::grad_of, and its vector passes' non-FMA
+  # rounding against the scalar oracle in tests/gat_reference.h;
+  # ParallelTrainer: the same writes into per-worker gradient sinks;
+  # Conv1dOracle: the vectorized conv forward's scratch (transposed weight,
+  # zero-padded input rows) and its non-FMA rounding against
+  # tests/conv_reference.h (the exp kernel's tests, ExpKernel.*, run with the
+  # dtype suite below); MatmulOracle: kern::mm_add's register tiles and
+  # narrow-column path, and their non-FMA rounding against
+  # tests/matmul_reference.h; Bfs.EpochKernel...: the
   # epoch BFS's 8-byte slot map and its row prefetches, whose addresses come
   # from loaded CSR offsets (the scale suite below covers the same hints on
   # mapped and overlay-patched graphs).
-  unit_tests='ParallelDatasetBuild|DrnlProperty|ExtractionProperty|DynamicGraphProperty|BufferPool|SortPoolEquivalence|GatConvOp|GATLayer|ParallelTrainer|Conv1dOracle|Bfs\.EpochKernelMatchesReferenceBfs'
+  unit_tests='ParallelDatasetBuild|DrnlProperty|ExtractionProperty|DynamicGraphProperty|BufferPool|SortPoolEquivalence|GatConvOp|GATLayer|ParallelTrainer|Conv1dOracle|MatmulOracle|Bfs\.EpochKernelMatchesReferenceBfs'
   require_tests "${asan_dir}" -R "${unit_tests}"
   ctest --test-dir "${asan_dir}" --output-on-failure -R "${unit_tests}"
   require_tests "${asan_dir}" -L dtype

@@ -526,7 +526,7 @@ const T* FrozenModel::forward_impl(const seal::SubgraphSample& sample,
           edge_dim_ > 0 ? arena.alloc<T>(sz(e_in * w)) : nullptr,
           arena.alloc<T>(sz(e_all * L.heads)),
           arena.alloc<T>(sz(e_all * L.heads)),
-          arena.alloc<T>(sz(fwd::gat_scratch_size(n, e_all, w, L.heads))),
+          arena.alloc<T>(sz(fwd::gat_scratch_size(n, e_all, L.heads))),
           arena.alloc<double>(sz(n * L.heads))};
       fwd::gat_layer_fwd(layer, h, eattr, s, d, n, e_in, bufs, out_l);
     } else {

@@ -22,13 +22,18 @@
 // a fused step (one FMA wherever the target has FMA),
 // __builtin_assoc_barrier around a product that must round first, explicit
 // std::fma where a step must fuse even without FMA instructions
-// (DESIGN.md §2.4).
+// (DESIGN.md §2.4).  Both pins need GNU vector types: in a plain loop GCC 12
+// contracted `o + __builtin_assoc_barrier(p * s)` into an FMA once it
+// vectorized the loop, and vectorized a scalar chain `acc = a * b + acc`
+// as an in-order reduction whose products rounded apart from the adds.
 //
 // Only the order- or contraction-sensitive forwards live here (dot-product
 // reductions, softmax normalisers, conv taps, the SortPooling comparator,
 // the multi-step f32 tanh and exp), plus one whole layer, the
 // edge-attribute GAT layer, whose every operation the trainer and the
-// frozen engine share.
+// frozen engine share.  The GAT passes run whole head rows and feature rows
+// as GNU vectors; tests/gat_reference.h and tests/conv_reference.h write
+// each output's rounding out as scalar loops.
 // Single-FP-op-per-element forwards (add, relu, scaling) are exact by
 // construction in any code shape and stay inline at their call sites.
 //
@@ -45,6 +50,7 @@
 #include <limits>
 #include <numeric>
 #include <type_traits>
+#include <utility>
 
 #include "tensor/kernels.h"
 
@@ -60,34 +66,160 @@ inline void linear_fwd(const T* __restrict__ a, const T* __restrict__ w,
   kern::mm_add(a, w, out, n, k, m);
 }
 
+namespace detail {
+
+/// Unaligned loads and stores of GNU vectors.
+template <typename V, typename T>
+inline void load(V& v, const T* p) {
+  std::memcpy(&v, p, sizeof v);
+}
+
+template <typename T, typename V>
+inline void store(T* p, const V& v) {
+  std::memcpy(p, &v, sizeof v);
+}
+
+/// out (a GNU vector of f64) = as many elements at p, widened to f64.
+/// Written as one braced list, which GCC 12 compiles to one widening load
+/// (vcvtps2pd from memory for 4 floats); __builtin_convertvector of a
+/// loaded vector converts in halves and reassembles them.
+template <typename D, typename T>
+inline void widen(D& out, const T* p) {
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    out = D{static_cast<double>(p[I])...};
+  }(std::make_index_sequence<sizeof(D) / sizeof(double)>{});
+}
+
+/// Transposes the 4x4 block whose rows are v0..v3.
+template <typename V>
+inline void transpose4(V& v0, V& v1, V& v2, V& v3) {
+  const V t0 = __builtin_shufflevector(v0, v1, 0, 4, 2, 6);
+  const V t1 = __builtin_shufflevector(v0, v1, 1, 5, 3, 7);
+  const V t2 = __builtin_shufflevector(v2, v3, 0, 4, 2, 6);
+  const V t3 = __builtin_shufflevector(v2, v3, 1, 5, 3, 7);
+  v0 = __builtin_shufflevector(t0, t2, 0, 1, 4, 5);
+  v1 = __builtin_shufflevector(t1, t3, 0, 1, 4, 5);
+  v2 = __builtin_shufflevector(t0, t2, 2, 3, 6, 7);
+  v3 = __builtin_shufflevector(t1, t3, 2, 3, 6, 7);
+}
+
+/// heads_dot_fwd against NA parameter rows a[k], into out[k].
+template <typename T, int NA>
+inline void heads_dots(const T* __restrict__ x, const T* const* a,
+                       T* const* out, std::int64_t e, std::int64_t hf,
+                       std::int64_t heads) {
+  using D4 = kern::Vec<double, 4>;
+  const std::int64_t f = hf / heads, steps = f / 8, total = e * heads;
+  const std::int64_t paired = f - f % 2;  // tail steps in whole pairs
+  std::int64_t h = 0;                     // head of the group's next pair
+  for (std::int64_t o = 0; o < total; o += 4) {
+    const T* xq[4];
+    std::int64_t aq[4];  // offset of each pair's head in a parameter row
+    for (std::int64_t q = 0; q < 4; ++q) {
+      xq[q] = x + std::min(o + q, total - 1) * f;
+      aq[q] = h * f;
+      if (o + q + 1 < total && ++h == heads) h = 0;
+    }
+    D4 acc[NA] = {};
+    if (steps > 0) {
+      D4 lo[NA][4] = {}, hi[NA][4] = {};
+      for (std::int64_t st = 0; st < steps * 8; st += 8)
+        for (int q = 0; q < 4; ++q) {
+          D4 x0, x1;
+          widen(x0, xq[q] + st);
+          widen(x1, xq[q] + st + 4);
+          for (int k = 0; k < NA; ++k) {
+            D4 a0, a1;
+            widen(a0, a[k] + aq[q] + st);
+            widen(a1, a[k] + aq[q] + st + 4);
+            lo[k][q] = x0 * a0 + lo[k][q];
+            hi[k][q] = x1 * a1 + hi[k][q];
+          }
+        }
+      for (int k = 0; k < NA; ++k) {
+        transpose4(lo[k][0], lo[k][1], lo[k][2], lo[k][3]);
+        transpose4(hi[k][0], hi[k][1], hi[k][2], hi[k][3]);
+        for (int l = 0; l < 4; ++l) acc[k] = acc[k] + lo[k][l];
+        for (int l = 0; l < 4; ++l) acc[k] = acc[k] + hi[k][l];
+      }
+    }
+    for (std::int64_t c = steps * 8; c < f; ++c) {
+      const D4 xv = {static_cast<double>(xq[0][c]),
+                     static_cast<double>(xq[1][c]),
+                     static_cast<double>(xq[2][c]),
+                     static_cast<double>(xq[3][c])};
+      for (int k = 0; k < NA; ++k) {
+        const T* ak = a[k] + c;
+        const D4 av = {static_cast<double>(ak[aq[0]]),
+                       static_cast<double>(ak[aq[1]]),
+                       static_cast<double>(ak[aq[2]]),
+                       static_cast<double>(ak[aq[3]])};
+        if (c < paired)
+          acc[k] = acc[k] + __builtin_assoc_barrier(xv * av);
+        else
+          acc[k] = xv * av + acc[k];
+      }
+    }
+    for (int k = 0; k < NA; ++k) {
+      const auto res = __builtin_convertvector(acc[k], kern::Vec<T, 4>);
+      if (o + 4 <= total) {
+        store(out[k] + o, res);
+      } else {
+        for (std::int64_t q = 0; o + q < total; ++q) out[k][o + q] = res[q];
+      }
+    }
+  }
+}
+
+}  // namespace detail
+
 /// out[e,heads] = per-head dot of x[e,hf] rows against the parameter row
-/// a[hf].  Lane-split f64 accumulation (dtype policy: attention logits that
-/// feed a softmax accumulate in double for either storage width; the fixed
-/// lane order keeps results bit-deterministic).
+/// a[hf], accumulated in f64 for either storage width (dtype policy:
+/// attention logits that feed a softmax accumulate in double).  Each output
+/// keeps one sequence of roundings (tests/gat_reference.h writes it out):
+///   * 8 lane sums, each a fused chain from +0 over the head's whole
+///     8-feature steps, feature 8s + l into lane l;
+///   * +0.0 plus the lane sums in lane order;
+///   * one step per remaining feature, in order: the tail's whole pairs of
+///     steps round their products before the add, and the last step of an
+///     odd tail is fused;
+///   * one rounding to T.
+/// At f32 every f64 product is exact, so a fused and an unfused step agree;
+/// at f64 a fused step is one FMA where the target has FMA and a rounded
+/// product plus a rounded add where it does not.  The tail rule is how
+/// GCC 12 compiled the scalar loop this kernel replaced (the tail became an
+/// in-order reduction two products at a time, with a fused scalar step for
+/// an odd last feature); it is kept so that f64 bytes did not move, and it
+/// is pinned here with __builtin_assoc_barrier and whole-vector
+/// `a * b + c`.
+/// The outputs run in groups of 4 consecutive (row, head) pairs, whatever
+/// rows they fall in (pair o reads x[o*f, (o+1)*f), as hf = heads*f).  Each
+/// pair's lane sums are two f64 vectors along its features, lanes 0-3 and
+/// 4-7; the group's are transposed so that the lane-order sums and the tail
+/// steps run on one vector per step over the 4 pairs, and the group's
+/// results are stored together.  A short last group repeats its last pair
+/// and drops the copies.
 template <typename T>
 inline void heads_dot_fwd(const T* __restrict__ x, const T* __restrict__ a,
                           T* __restrict__ out, std::int64_t e,
                           std::int64_t hf, std::int64_t heads) {
-  const std::int64_t f = hf / heads;
-  for (std::int64_t r = 0; r < e; ++r) {
-    const T* xrow = x + r * hf;
-    for (std::int64_t h = 0; h < heads; ++h) {
-      constexpr int kLanes = 8;
-      double lanes[kLanes] = {};
-      const T* arow = a + h * f;
-      const T* hx = xrow + h * f;
-      std::int64_t c = 0;
-      for (; c + kLanes <= f; c += kLanes)
-        for (int l = 0; l < kLanes; ++l)
-          lanes[l] += static_cast<double>(hx[c + l]) *
-                      static_cast<double>(arow[c + l]);
-      double acc = 0.0;
-      for (int l = 0; l < kLanes; ++l) acc += lanes[l];
-      for (; c < f; ++c)
-        acc += static_cast<double>(hx[c]) * static_cast<double>(arow[c]);
-      out[r * heads + h] = static_cast<T>(acc);
-    }
-  }
+  const T* rows[1] = {a};
+  T* outs[1] = {out};
+  detail::heads_dots<T, 1>(x, rows, outs, e, hf, heads);
+}
+
+/// heads_dot_fwd of the same x rows against two parameter rows, out1 with
+/// a1 and out2 with a2, each output with heads_dot_fwd's bytes; x is read
+/// and widened once for both (the GAT layer's per-node source and
+/// destination dots).
+template <typename T>
+inline void heads_dot2_fwd(const T* __restrict__ x, const T* __restrict__ a1,
+                           const T* __restrict__ a2, T* __restrict__ out1,
+                           T* __restrict__ out2, std::int64_t e,
+                           std::int64_t hf, std::int64_t heads) {
+  const T* rows[2] = {a1, a2};
+  T* outs[2] = {out1, out2};
+  detail::heads_dots<T, 2>(x, rows, outs, e, hf, heads);
 }
 
 /// out[e,hf] = x[e,hf] with each head block scaled by alpha[e,heads].
@@ -258,14 +390,89 @@ inline void exp_inplace(T* __restrict__ x, std::int64_t n) {
   }
 }
 
+namespace detail {
+
+/// Calls fn(std::integral_constant<int, W>{}) with W the largest power of
+/// two that divides n, at most W's default kern::kLanes<T> (64 bytes): the
+/// vector width of a pass over rows of n elements (head rows, one head's
+/// features) in which no vector straddles two rows or two heads, so no pass
+/// has a remainder.
+template <typename T, int W = kern::kLanes<T>, typename Fn>
+inline void with_row_width(std::int64_t n, Fn&& fn) {
+  if constexpr (W == 1) {
+    fn(std::integral_constant<int, 1>{});
+  } else {
+    if (n % W == 0)
+      fn(std::integral_constant<int, W>{});
+    else
+      with_row_width<T, W / 2>(n, fn);
+  }
+}
+
+/// Segment maxima (std::max in edge order, so the first of equal values
+/// wins) and the max-subtracted scores: segment_softmax_fwd's passes before
+/// its exp, over head rows in vectors of W.
+template <typename T, int W>
+inline void segment_softmax_shift(const T* __restrict__ sv,
+                                  const std::int64_t* __restrict__ segment,
+                                  T* __restrict__ out, T* __restrict__ seg_max,
+                                  std::int64_t e, std::int64_t h) {
+  using V = kern::Vec<T, W>;
+  for (std::int64_t r = 0; r < e; ++r)
+    for (std::int64_t c = 0; c < h; c += W) {
+      T* mp = seg_max + segment[r] * h + c;
+      V m, v;
+      load(m, mp);
+      load(v, sv + r * h + c);
+      store(mp, V(m < v ? v : m));
+    }
+  for (std::int64_t r = 0; r < e; ++r)
+    for (std::int64_t c = 0; c < h; c += W) {
+      V m, v;
+      load(m, seg_max + segment[r] * h + c);
+      load(v, sv + r * h + c);
+      store(out + r * h + c, V(v - m));
+    }
+}
+
+/// The f64 segment sums in edge order and the quotients rounded to T:
+/// segment_softmax_fwd's passes after its exp, in vectors of W.
+template <typename T, int W>
+inline void segment_softmax_normalise(const std::int64_t* __restrict__ segment,
+                                      T* __restrict__ out,
+                                      double* __restrict__ seg_sum,
+                                      std::int64_t e, std::int64_t h) {
+  using D = kern::Vec<double, W>;
+  for (std::int64_t r = 0; r < e; ++r)
+    for (std::int64_t c = 0; c < h; c += W) {
+      double* sp = seg_sum + segment[r] * h + c;
+      D sum, v;
+      load(sum, sp);
+      widen(v, out + r * h + c);
+      store(sp, D(sum + v));
+    }
+  for (std::int64_t r = 0; r < e; ++r)
+    for (std::int64_t c = 0; c < h; c += W) {
+      D sum, v;
+      load(sum, seg_sum + segment[r] * h + c);
+      widen(v, out + r * h + c);
+      store(out + r * h + c, __builtin_convertvector(v / sum, kern::Vec<T, W>));
+    }
+}
+
+}  // namespace detail
+
 /// Segment-softmax forward: out[e,h] = softmax of scores[e,h] within each
 /// destination segment.  `seg_max` is caller scratch of num_segments*h T
 /// (overwritten), `seg_sum` caller scratch of num_segments*h doubles (must
-/// be zeroed).  Max pass and exp run at storage width; the normaliser
-/// accumulates in f64 (dtype policy, DESIGN.md §2.3).  The exp runs as one
-/// exp_inplace pass over the contiguous max-subtracted scores, so at f32 it
-/// vectorizes, and the sums then add in the same (edge, head) order.  Each
-/// element gets the bytes of one std::exp.
+/// be zeroed).  Per element, in edge order: the segment maximum at storage
+/// width (std::max, so the first of equal values wins), the max-subtracted
+/// score, its exp at storage width, the f64 segment sum, and the f64
+/// quotient rounded once to T (dtype policy, DESIGN.md §2.3).  Each pass
+/// runs over whole head rows as GNU vectors (detail::with_row_width); the
+/// exp runs as one exp_inplace pass over the contiguous max-subtracted
+/// scores, so at f32 it vectorizes and each element gets the bytes of one
+/// std::exp.
 template <typename T>
 inline void segment_softmax_fwd(const T* __restrict__ sv,
                                 const std::int64_t* __restrict__ segment,
@@ -274,21 +481,15 @@ inline void segment_softmax_fwd(const T* __restrict__ sv,
                                 std::int64_t h, std::int64_t num_segments) {
   std::fill(seg_max, seg_max + num_segments * h,
             -std::numeric_limits<T>::infinity());
-  for (std::int64_t r = 0; r < e; ++r)
-    for (std::int64_t c = 0; c < h; ++c)
-      seg_max[segment[r] * h + c] =
-          std::max(seg_max[segment[r] * h + c], sv[r * h + c]);
-  for (std::int64_t r = 0; r < e; ++r)
-    for (std::int64_t c = 0; c < h; ++c)
-      out[r * h + c] = sv[r * h + c] - seg_max[segment[r] * h + c];
+  detail::with_row_width<T>(h, [&](auto width) {
+    detail::segment_softmax_shift<T, decltype(width)::value>(sv, segment, out,
+                                                             seg_max, e, h);
+  });
   exp_inplace(out, e * h);
-  for (std::int64_t r = 0; r < e; ++r)
-    for (std::int64_t c = 0; c < h; ++c)
-      seg_sum[segment[r] * h + c] += static_cast<double>(out[r * h + c]);
-  for (std::int64_t r = 0; r < e; ++r)
-    for (std::int64_t c = 0; c < h; ++c)
-      out[r * h + c] = static_cast<T>(static_cast<double>(out[r * h + c]) /
-                                      seg_sum[segment[r] * h + c]);
+  detail::with_row_width<T>(h, [&](auto width) {
+    detail::segment_softmax_normalise<T, decltype(width)::value>(
+        segment, out, seg_sum, e, h);
+  });
 }
 
 /// out[num_rows,m] = bias (row broadcast) + scatter-add of src[e,m] rows by
@@ -335,88 +536,162 @@ struct GatBuffers {
   double* seg_sum;  // [n, heads]
 };
 
-/// Elements of GatBuffers::scratch: per-node dots [2n, heads], activated
-/// logits [e_all, heads], segment maxima [n, heads], messages [e_all, hf].
+/// Elements of GatBuffers::scratch: per-node dots [2n, heads], segment
+/// maxima [n, heads], activated logits [e_all, heads] and edge dots
+/// [e_in, heads], e_in = e_all - n.
 inline std::int64_t gat_scratch_size(std::int64_t n, std::int64_t e_all,
-                                     std::int64_t hf, std::int64_t heads) {
-  return 3 * n * heads + e_all * (heads + hf);
+                                     std::int64_t heads) {
+  return 2 * (n + e_all) * heads;
 }
 
-/// Attention logits of every edge (self-loops included):
-///   scores[r] = <xw[s[r]], a_src> + <xw[d[r]], a_dst> (+ <ea[r], a_edge>).
-/// It equals the per-edge dots over gathered rows of the tape formulation
-/// (tests/gat_reference.h) bit for bit:
-///   * heads_dot_fwd's result for a row depends only on that row's values,
-///     so per-NODE dots gathered as scalars equal per-EDGE dots over
-///     gathered rows;
-///   * the adds run in the same per-element order: (src + dst), then + edge;
-///   * the self-loop rows of the edge projection are exact zeros, and a dot
-///     over a zero row is exactly +0.0 (the f64 lanes stay +0.0), so the
-///     edge dots run over the e_in real rows and the self-loop tail adds a
-///     literal +0.0, which still normalises a -0.0 sum to +0.0 as the tape's
-///     add does.
-/// `nd` is scratch of 2n*heads; `s3` scratch of e_all*heads.
-template <typename T>
-inline void gat_scores_fwd(const GatLayer<T>& L, const T* __restrict__ xw,
-                           const T* __restrict__ ea,
-                           const std::int64_t* __restrict__ s,
-                           const std::int64_t* __restrict__ d,
-                           std::int64_t n, std::int64_t e_in,
-                           T* __restrict__ scores, T* __restrict__ nd,
-                           T* __restrict__ s3) {
-  const std::int64_t heads = L.heads, e_all = e_in + n;
-  T* nd_src = nd;
-  T* nd_dst = nd + n * heads;
-  heads_dot_fwd(xw, L.a_src, nd_src, n, L.hf, heads);
-  heads_dot_fwd(xw, L.a_dst, nd_dst, n, L.hf, heads);
-  for (std::int64_t r = 0; r < e_all; ++r)
-    for (std::int64_t h = 0; h < heads; ++h)
-      scores[r * heads + h] =
-          nd_src[s[r] * heads + h] + nd_dst[d[r] * heads + h];
-  if (L.edge_dim > 0) {
-    heads_dot_fwd(ea, L.a_edge, s3, e_in, L.hf, heads);
-    std::fill(s3 + e_in * heads, s3 + e_all * heads, T(0));
-    for (std::int64_t i = 0; i < e_all * heads; ++i)
-      scores[i] = scores[i] + s3[i];
-  }
+namespace detail {
+
+/// What an edge row of the GAT layer adds to its source node's row: the
+/// attention logit's edge term and the message's payload.  Real edges with
+/// attributes add their projected attributes; the self-loops of a layer
+/// with attributes add an exact +0 (their projected rows are zero in the
+/// tape formulation, and + +0 turns a -0 into +0); without attributes
+/// nothing is added.
+enum class EdgeTerm { kNone, kRow, kZero };
+
+/// Attention logits of edges [r0, r1) on head rows in vectors of W:
+///   scores[r] = nd_src[s[r]] + nd_dst[d[r]] (+ ed[r] or + 0, per Term),
+///   act[r]    = scores[r] > 0 ? scores[r] : slope * scores[r].
+/// The same per-element operations as the tape formulation's gathered
+/// per-edge dots (tests/gat_reference.h): a dot's result depends only on its
+/// row's values, so per-node dots gathered as values equal per-edge dots
+/// over gathered rows, and the adds run in the same order.
+template <typename T, int W, EdgeTerm Term>
+inline void gat_logits(const T* __restrict__ nd_src,
+                       const T* __restrict__ nd_dst, const T* __restrict__ ed,
+                       const std::int64_t* __restrict__ s,
+                       const std::int64_t* __restrict__ d, std::int64_t r0,
+                       std::int64_t r1, std::int64_t heads, T slope,
+                       T* __restrict__ scores, T* __restrict__ act) {
+  using V = kern::Vec<T, W>;
+  for (std::int64_t r = r0; r < r1; ++r)
+    for (std::int64_t c = 0; c < heads; c += W) {
+      V u, v;
+      load(u, nd_src + s[r] * heads + c);
+      load(v, nd_dst + d[r] * heads + c);
+      V sc = u + v;
+      if constexpr (Term == EdgeTerm::kRow) {
+        V q;
+        load(q, ed + r * heads + c);
+        sc = sc + q;
+      } else if constexpr (Term == EdgeTerm::kZero) {
+        sc = sc + V{};
+      }
+      store(scores + r * heads + c, sc);
+      store(act + r * heads + c, V(sc > V{} ? sc : slope * sc));
+    }
 }
 
-/// Scaled messages msg[r] = alpha[r] (per head) * payload[r], with payload
-/// xw[s[r]] + ea[r] (xw[s[r]] + 0 on self-loops) or xw[s[r]] without edge
-/// attributes.  The tape formulation materialises the gather, the payload
-/// add and the heads_scale product as three arrays; here each element runs
-/// the same single add and then the same single multiply.  (a + b) * s has
-/// no contractible mul-add pair, so both roundings survive any FMA policy.
-/// The scatter stays a separate pass (scatter_add_bias_fwd): fused, its
-/// `out += msg` would contract with this multiply into one rounding.
-template <typename T>
-inline void gat_messages_fwd(const T* __restrict__ xw,
-                             const T* __restrict__ ea,
-                             const T* __restrict__ alpha,
-                             const std::int64_t* __restrict__ s,
-                             std::int64_t e_in, std::int64_t e_all,
-                             std::int64_t hf, std::int64_t heads,
-                             T* __restrict__ msg) {
+/// out[d[r]] += (xw[s[r]] + edge term) * alpha[r] (per head) for edges
+/// [r0, r1) in edge order, on each head's features in vectors of W.  Each
+/// element takes the payload add, a product rounded on its own and the add
+/// into the output, as the tape formulation's heads_scale and scatter did.
+/// The barrier is what keeps the product rounded: `o + p * s` would
+/// contract into one FMA.  It holds on GNU vector types; in a plain loop
+/// GCC 12 dropped it once it vectorized the loop and contracted the
+/// product into the add.  W is at most 16 bytes: on wider vectors GCC 12
+/// rebuilds the barrier's result element by element (8-16 shuffles per
+/// vector).
+template <typename T, int W, EdgeTerm Term>
+inline void gat_aggregate(const T* __restrict__ xw, const T* __restrict__ ea,
+                          const T* __restrict__ alpha,
+                          const std::int64_t* __restrict__ s,
+                          const std::int64_t* __restrict__ d, std::int64_t r0,
+                          std::int64_t r1, std::int64_t hf,
+                          std::int64_t heads, T* __restrict__ out) {
+  using V = kern::Vec<T, W>;
   const std::int64_t f = hf / heads;
-  for (std::int64_t r = 0; r < e_all; ++r) {
-    const T* row = xw + s[r] * hf;
-    const T* erow = (ea != nullptr && r < e_in) ? ea + r * hf : nullptr;
+  for (std::int64_t r = r0; r < r1; ++r) {
+    const T* xr = xw + s[r] * hf;
+    T* orow = out + d[r] * hf;
     for (std::int64_t h = 0; h < heads; ++h) {
       const T sc = alpha[r * heads + h];
-      const std::int64_t base = h * f;
-      T* mrow = msg + r * hf + base;
-      if (ea != nullptr) {
-        if (erow != nullptr)
-          for (std::int64_t c = 0; c < f; ++c)
-            mrow[c] = (row[base + c] + erow[base + c]) * sc;
-        else
-          for (std::int64_t c = 0; c < f; ++c)
-            mrow[c] = (row[base + c] + T(0)) * sc;
-      } else {
-        for (std::int64_t c = 0; c < f; ++c) mrow[c] = row[base + c] * sc;
+      for (std::int64_t c = h * f; c < (h + 1) * f; c += W) {
+        V o, p;
+        load(o, orow + c);
+        load(p, xr + c);
+        if constexpr (Term == EdgeTerm::kRow) {
+          V q;
+          load(q, ea + r * hf + c);
+          p = p + q;
+        } else if constexpr (Term == EdgeTerm::kZero) {
+          p = p + V{};
+        }
+        store(orow + c, V(o + __builtin_assoc_barrier(p * sc)));
       }
     }
   }
+}
+
+}  // namespace detail
+
+/// Attention logits and their LeakyReLU for the e_all edges (self-loops
+/// from e_in on): scores = nd_src[s] + nd_dst[d], plus ed[r] on real edges
+/// and +0 on self-loops when the layer has edge attributes (ed non-null,
+/// [e_in, heads]); act = LeakyReLU(scores).  Head rows in vectors of the
+/// largest power of two dividing heads (detail::with_row_width).
+template <typename T>
+inline void gat_logits_fwd(const T* __restrict__ nd_src,
+                           const T* __restrict__ nd_dst,
+                           const T* __restrict__ ed,
+                           const std::int64_t* __restrict__ s,
+                           const std::int64_t* __restrict__ d,
+                           std::int64_t e_in, std::int64_t e_all,
+                           std::int64_t heads, T slope,
+                           T* __restrict__ scores, T* __restrict__ act) {
+  using detail::EdgeTerm;
+  detail::with_row_width<T>(heads, [&](auto width) {
+    constexpr int W = decltype(width)::value;
+    if (ed != nullptr) {
+      detail::gat_logits<T, W, EdgeTerm::kRow>(nd_src, nd_dst, ed, s, d, 0,
+                                               e_in, heads, slope, scores,
+                                               act);
+      detail::gat_logits<T, W, EdgeTerm::kZero>(nd_src, nd_dst, ed, s, d,
+                                                e_in, e_all, heads, slope,
+                                                scores, act);
+    } else {
+      detail::gat_logits<T, W, EdgeTerm::kNone>(nd_src, nd_dst, ed, s, d, 0,
+                                                e_all, heads, slope, scores,
+                                                act);
+    }
+  });
+}
+
+/// out[n, hf] = bias, then for every edge in order out[d] += (xw[s] + ea[r]
+/// on real edges, + 0 on self-loops, nothing when ea is null) * alpha per
+/// head: the message and the scatter in one pass, each head's features in
+/// vectors of the largest power of two dividing them, at most 16 bytes.
+template <typename T>
+inline void gat_aggregate_fwd(const T* __restrict__ xw,
+                              const T* __restrict__ ea,
+                              const T* __restrict__ alpha,
+                              const std::int64_t* __restrict__ s,
+                              const std::int64_t* __restrict__ d,
+                              std::int64_t n, std::int64_t e_in,
+                              std::int64_t hf, std::int64_t heads,
+                              const T* __restrict__ bias,
+                              T* __restrict__ out) {
+  using detail::EdgeTerm;
+  const std::int64_t e_all = e_in + n;
+  for (std::int64_t i = 0; i < n; ++i) std::copy_n(bias, hf, out + i * hf);
+  constexpr int kMaxWidth = 16 / static_cast<int>(sizeof(T));
+  detail::with_row_width<T, kMaxWidth>(hf / heads, [&](auto width) {
+    constexpr int W = decltype(width)::value;
+    if (ea != nullptr) {
+      detail::gat_aggregate<T, W, EdgeTerm::kRow>(xw, ea, alpha, s, d, 0,
+                                                  e_in, hf, heads, out);
+      detail::gat_aggregate<T, W, EdgeTerm::kZero>(xw, ea, alpha, s, d, e_in,
+                                                   e_all, hf, heads, out);
+    } else {
+      detail::gat_aggregate<T, W, EdgeTerm::kNone>(xw, ea, alpha, s, d, 0,
+                                                   e_all, hf, heads, out);
+    }
+  });
 }
 
 /// One GAT layer, pre-activation: out[n, hf] = bias + sum over the incoming
@@ -426,7 +701,17 @@ inline void gat_messages_fwd(const T* __restrict__ xw,
 /// (ops::gat_conv) calls it with pooled buffers and keeps xw, ea, scores
 /// and alpha for its backward; the frozen forward calls it with arena
 /// buffers.  One instantiation serves both, so the frozen logits equal the
-/// training forward by construction.
+/// training forward by construction.  The passes:
+///   * x·W and edge_attr·W_e: zeroed accumulator + kern::mm_add, exactly
+///     ops::matmul;
+///   * per-node dots with a_src and a_dst (heads_dot2_fwd), per-edge dots
+///     with a_edge (heads_dot_fwd);
+///   * logits and LeakyReLU (gat_logits_fwd), then the segment softmax
+///     (segment_softmax_fwd), on head rows;
+///   * bias, then message and scatter in one pass (gat_aggregate_fwd).
+/// Each pass's vector width is the largest power of two dividing its row
+/// (heads, or one head's features), at most 64 bytes, so the 1-head,
+/// 1-feature last layer runs the same code on 1-element vectors.
 template <typename T>
 inline void gat_layer_fwd(const GatLayer<T>& L, const T* __restrict__ x,
                           const T* __restrict__ eattr,
@@ -435,36 +720,28 @@ inline void gat_layer_fwd(const GatLayer<T>& L, const T* __restrict__ x,
                           std::int64_t e_in, const GatBuffers<T>& b,
                           T* __restrict__ out) {
   const std::int64_t hf = L.hf, heads = L.heads, e_all = e_in + n;
-  T* nd = b.scratch;                       // [2n, heads]
-  T* act = nd + 2 * n * heads;             // [e_all, heads]
-  T* seg_max = act + e_all * heads;        // [n, heads]
-  T* msg = seg_max + n * heads;            // [e_all, hf]
+  T* nd_src = b.scratch;             // [n, heads]
+  T* nd_dst = nd_src + n * heads;    // [n, heads]
+  T* seg_max = nd_dst + n * heads;   // [n, heads]
+  T* act = seg_max + n * heads;      // [e_all, heads]
+  T* ed = nullptr;                   // [e_in, heads] with edge attributes
+  const T* ea = nullptr;
 
-  // x·W and edge_attr·W_e: zeroed accumulator + mm_add, exactly ops::matmul.
   std::fill(b.xw, b.xw + n * hf, T(0));
   kern::mm_add(x, L.w, b.xw, n, L.in, hf);
-  const T* ea = nullptr;
+  heads_dot2_fwd(b.xw, L.a_src, L.a_dst, nd_src, nd_dst, n, hf, heads);
   if (L.edge_dim > 0) {
     std::fill(b.ea, b.ea + e_in * hf, T(0));
     kern::mm_add(eattr, L.w_e, b.ea, e_in, L.edge_dim, hf);
     ea = b.ea;
+    ed = act + e_all * heads;
+    heads_dot_fwd(ea, L.a_edge, ed, e_in, hf, heads);
   }
-
-  gat_scores_fwd(L, b.xw, ea, s, d, n, e_in, b.scores, nd, act);
-  {
-    // LeakyReLU over restrict-qualified locals: read through `b` and `L`,
-    // GCC versions this loop on a runtime alias check, and the library
-    // build ran it at ~1.3 us per layer at the serve shape, not ~0.1 us.
-    const T* __restrict__ scores = b.scores;
-    const T slope = L.slope;
-    for (std::int64_t i = 0; i < e_all * heads; ++i)
-      act[i] = scores[i] > T(0) ? scores[i] : slope * scores[i];
-  }
+  gat_logits_fwd(nd_src, nd_dst, ed, s, d, e_in, e_all, heads, L.slope,
+                 b.scores, act);
   std::fill(b.seg_sum, b.seg_sum + n * heads, 0.0);
   segment_softmax_fwd(act, d, b.alpha, seg_max, b.seg_sum, e_all, heads, n);
-
-  gat_messages_fwd(b.xw, ea, b.alpha, s, e_in, e_all, hf, heads, msg);
-  scatter_add_bias_fwd(msg, d, e_all, n, hf, L.bias, out);
+  gat_aggregate_fwd(b.xw, ea, b.alpha, s, d, n, e_in, hf, heads, L.bias, out);
 }
 
 /// SortPooling row selection: fill perm[0..n) with the indices of d[n,c]
@@ -492,18 +769,9 @@ inline std::int64_t sort_perm_topk(const T* d, std::int64_t n, std::int64_t c,
 
 namespace detail {
 
-/// GNU vector of N elements of T.  Plain element-wise arithmetic on it maps
-/// onto the target's SIMD registers without intrinsics or runtime dispatch.
-/// Vectors are loaded with memcpy (unaligned) and never passed or returned
-/// by value, which would depend on the target's vector ABI.
-template <typename T, int N>
-using Vec [[gnu::vector_size(N * sizeof(T))]] = T;
-
-/// Output positions per vector of the stride-1 conv, and output channels
-/// per vector of the strided conv.
+/// Output positions per vector of the stride-1 conv (the strided conv holds
+/// kern::kLanes<T> output channels per vector).
 inline constexpr std::int64_t kConvPositions = 8;
-template <typename T>
-inline constexpr std::int64_t kConvLanes = 64 / sizeof(T);
 
 }  // namespace detail
 
@@ -518,7 +786,7 @@ inline std::int64_t conv1d_scratch_size(std::int64_t cin, std::int64_t len,
     const std::int64_t lout = len - kernel + 1;
     return cin * ((lout + kPos - 1) / kPos * kPos + kernel - 1);
   }
-  constexpr std::int64_t kLanes = detail::kConvLanes<T>;
+  constexpr std::int64_t kLanes = kern::kLanes<T>;
   return (cout + kLanes - 1) / kLanes * kLanes * cin * kernel;
 }
 
@@ -560,7 +828,7 @@ inline void conv1d_fwd(const T* __restrict__ xd, const T* __restrict__ wd,
   if (stride == 1) {
     constexpr std::int64_t kPos = detail::kConvPositions;
     constexpr int kChan = 8;
-    using V = detail::Vec<T, kPos>;
+    using V = kern::Vec<T, kPos>;
     const std::int64_t plen = (lout + kPos - 1) / kPos * kPos + kernel - 1;
     for (std::int64_t ic = 0; ic < cin; ++ic) {
       T* row = scratch + ic * plen;
@@ -598,9 +866,9 @@ inline void conv1d_fwd(const T* __restrict__ xd, const T* __restrict__ wd,
     return;
   }
 
-  constexpr std::int64_t kLanes = detail::kConvLanes<T>;
+  constexpr std::int64_t kLanes = kern::kLanes<T>;
   constexpr std::int64_t kTailGroup = 32 / sizeof(T);
-  using V = detail::Vec<T, kLanes>;
+  using V = kern::Vec<T, kLanes>;
   const std::int64_t blocks = (cout + kLanes - 1) / kLanes;
   const std::int64_t taps = cin * kernel;
   // scratch[(b * taps + i) * kLanes + c] = w[b * kLanes + c][i], zero for

@@ -10,13 +10,17 @@
 // one-hots or dense embeddings, and turns 0·inf into a silent skip).
 //
 // Blocking factors target the model's shapes (tens of rows, 16..128
-// columns): 4 rows of A/C share one streamed row of B (mm_add, mm_atb_add);
-// mm_abt_add transposes B into a scratch first (one L1-sized block at a time
-// when G has fewer than 4 rows) so its
-// accumulation runs over unit-stride rows too, instead of horizontal dot
-// products (an FP reduction is a serial dependency chain the compiler may
-// not reassociate, so the dot-product form never vectorises).  The
-// unit-stride inner loops vectorise under -O3 -march=native.
+// columns).  mm_add holds its C tiles in GNU vector accumulators (4 rows × 2
+// vectors of 64 bytes, one row × up to 8 vectors for the dense head) across
+// the whole reduction, each step a whole-vector `a * b + c`, so the forward
+// projections neither spill their tile nor leave contraction to the loop
+// vectorizer.  mm_atb_add streams rows of B past 4 rows of A/G; mm_abt_add
+// transposes B into a scratch first (one L1-sized block at a time when G
+// has fewer than 4 rows) so its accumulation runs over unit-stride rows
+// too, instead of horizontal dot products (an FP reduction is a serial
+// dependency chain the compiler may not reassociate, so the dot-product
+// form never vectorises).  Their unit-stride inner loops vectorise under
+// -O3 -march=native.
 //
 // Kernels are templated on the scalar type (float or double) and accumulate
 // at native width: a matmul is bandwidth-bound at these shapes, so f32
@@ -34,102 +38,135 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace amdgcnn::ag::kern {
 
-/// C[n,m] += A[n,k] · B[k,m]   (row-major, unit-stride inner loop over m).
+/// GNU vector of N elements of T.  Plain element-wise arithmetic on it maps
+/// onto the target's SIMD registers without intrinsics or runtime dispatch;
+/// without SIMD support for a width GCC splits it into narrower operations.
+/// Vectors are loaded and stored with memcpy (unaligned) and never passed
+/// or returned by value, which would depend on the target's vector ABI.
+template <typename T, int N>
+using Vec [[gnu::vector_size(N * sizeof(T))]] = T;
+
+/// Elements of T in one 64-byte vector.
+template <typename T>
+inline constexpr int kLanes = 64 / static_cast<int>(sizeof(T));
+
+namespace detail {
+
+/// C[R, NV*L] += A[R, k] · B[k, NV*L] on one register tile (L = kLanes<T>,
+/// A, B and C at the tile's origin, row strides k and m): the R*NV vector
+/// accumulators stay in registers across the whole k loop, so C is loaded
+/// and stored once per tile.  Every element runs one chain
+/// `acc = a * b + acc` for p ascending, written on whole vectors, which GCC
+/// contracts into one FMA per step wherever the target has FMA.
+template <typename T, int R, int NV>
+inline void mm_tile(const T* __restrict__ A, const T* __restrict__ B,
+                    T* __restrict__ C, std::int64_t k, std::int64_t m) {
+  constexpr int L = kLanes<T>;
+  using V = Vec<T, L>;
+  V acc[R][NV];
+  for (int r = 0; r < R; ++r)
+    for (int v = 0; v < NV; ++v)
+      std::memcpy(&acc[r][v], C + r * m + v * L, sizeof(V));
+  for (std::int64_t p = 0; p < k; ++p) {
+    V b[NV];
+    for (int v = 0; v < NV; ++v)
+      std::memcpy(&b[v], B + p * m + v * L, sizeof(V));
+    for (int r = 0; r < R; ++r) {
+      const T a = A[r * k + p];
+      for (int v = 0; v < NV; ++v) acc[r][v] = a * b[v] + acc[r][v];
+    }
+  }
+  for (int r = 0; r < R; ++r)
+    for (int v = 0; v < NV; ++v)
+      std::memcpy(C + r * m + v * L, &acc[r][v], sizeof(V));
+}
+
+/// Columns [j0, m) of C[n,m] += A[n,k] · B[k,m], fewer than one vector wide
+/// (the whole of a 1-column product such as the last GAT layer's).  One
+/// column at a time, eight of its rows per vector, A's column gathered
+/// element by element; rows past n repeat row n - 1 and their sums are
+/// dropped.  The same chain per element as mm_tile.  The accumulators must
+/// be GNU vectors: as a scalar array, GCC vectorized the p loop as an
+/// in-order reduction, computing the products as a vector apart from the
+/// adds, so the steps were no longer fused.
+template <typename T>
+inline void mm_narrow(const T* __restrict__ A, const T* __restrict__ B,
+                      T* __restrict__ C, std::int64_t n, std::int64_t k,
+                      std::int64_t m, std::int64_t j0) {
+  constexpr int R = 8;
+  using V = Vec<T, R>;
+  for (std::int64_t j = j0; j < m; ++j)
+    for (std::int64_t i0 = 0; i0 < n; i0 += R) {
+      const T* a[R];
+      T c[R];
+      for (int q = 0; q < R; ++q) {
+        const std::int64_t i = std::min<std::int64_t>(i0 + q, n - 1);
+        a[q] = A + i * k;
+        c[q] = C[i * m + j];
+      }
+      V acc;
+      std::memcpy(&acc, c, sizeof acc);
+      for (std::int64_t p = 0; p < k; ++p) {
+        V av;
+        for (int q = 0; q < R; ++q) av[q] = a[q][p];
+        acc = av * B[p * m + j] + acc;
+      }
+      const std::int64_t rows = std::min<std::int64_t>(R, n - i0);
+      for (std::int64_t q = 0; q < rows; ++q) C[(i0 + q) * m + j] = acc[q];
+    }
+}
+
+}  // namespace detail
+
+/// C[n,m] += A[n,k] · B[k,m]   (row-major).
 ///
-/// Register-tiled: full-width column tiles keep a 4×JT block of C in
-/// registers across the whole k loop, so C is loaded/stored once per tile
-/// instead of once per k step (the dominant traffic of the streaming form).
-/// Each C[i,j] is still a single accumulator updated by the same
-/// `acc += a·b` expression for k ascending, so every element's rounding
-/// sequence — FMA-contracted or not, the expression shape is unchanged — is
-/// bitwise identical to the streaming form; tile width and loop nesting only
-/// regroup independent accumulator chains.
+/// Register-tiled on GNU vectors of kLanes<T> elements (64 bytes): blocks
+/// of 4 rows × 2 vectors, then 4 × 1; leftover rows (all of a [1,k]·[k,m]
+/// dense-head product) take 1 × 8, 4, 2 and 1 vectors; the columns past the
+/// last whole vector run mm_narrow.  Every element C[i,j] is one
+/// accumulator chain `acc = A[i,p] * B[p,j] + acc`, p ascending, from C's
+/// value: one fused multiply-add per step where the target has FMA, a
+/// rounded product and a rounded add where it does not (the sanitizer tree
+/// has no -march).  Tile shapes only regroup independent chains, so every
+/// path gives the same bits (tests/matmul_reference.h writes the chain out;
+/// MatmulOracle.* compares every element).
 template <typename T>
 inline void mm_add(const T* __restrict__ A, const T* __restrict__ B,
                    T* __restrict__ C, std::int64_t n, std::int64_t k,
                    std::int64_t m) {
-  constexpr std::int64_t JT = 128 / static_cast<std::int64_t>(sizeof(T));
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const T* a0 = A + (i + 0) * k;
-    const T* a1 = A + (i + 1) * k;
-    const T* a2 = A + (i + 2) * k;
-    const T* a3 = A + (i + 3) * k;
-    T* c0 = C + (i + 0) * m;
-    T* c1 = C + (i + 1) * m;
-    T* c2 = C + (i + 2) * m;
-    T* c3 = C + (i + 3) * m;
-    std::int64_t j = 0;
-    for (; j + JT <= m; j += JT) {
-      T t0[JT], t1[JT], t2[JT], t3[JT];
-      for (std::int64_t x = 0; x < JT; ++x) {
-        t0[x] = c0[j + x];
-        t1[x] = c1[j + x];
-        t2[x] = c2[j + x];
-        t3[x] = c3[j + x];
-      }
-      for (std::int64_t p = 0; p < k; ++p) {
-        const T* b = B + p * m + j;
-        const T v0 = a0[p], v1 = a1[p], v2 = a2[p], v3 = a3[p];
-        for (std::int64_t x = 0; x < JT; ++x) {
-          const T bx = b[x];
-          t0[x] += v0 * bx;
-          t1[x] += v1 * bx;
-          t2[x] += v2 * bx;
-          t3[x] += v3 * bx;
-        }
-      }
-      for (std::int64_t x = 0; x < JT; ++x) {
-        c0[j + x] = t0[x];
-        c1[j + x] = t1[x];
-        c2[j + x] = t2[x];
-        c3[j + x] = t3[x];
-      }
-    }
-    // Column tail: the streaming form — per (i,j) the same ascending-k
-    // accumulator chain, so mixing the forms stays bit-exact.
-    if (j < m) {
-      for (std::int64_t p = 0; p < k; ++p) {
-        const T* b = B + p * m;
-        const T v0 = a0[p], v1 = a1[p], v2 = a2[p], v3 = a3[p];
-        for (std::int64_t jj = j; jj < m; ++jj) {
-          const T bj = b[jj];
-          c0[jj] += v0 * bj;
-          c1[jj] += v1 * bj;
-          c2[jj] += v2 * bj;
-          c3[jj] += v3 * bj;
-        }
-      }
-    }
-  }
-  // Row tail (also the whole of a [1,k]·[k,m] product, e.g. the dense
-  // head): same register tiling, one row at a time.
-  for (; i < n; ++i) {
+  constexpr std::int64_t L = kLanes<T>;
+  const std::int64_t mv = m - m % L;  // columns in whole vectors
+  const std::int64_t n4 = n - n % 4;  // rows in whole 4-row blocks
+  for (std::int64_t i = 0; i < n4; i += 4) {
     const T* a = A + i * k;
     T* c = C + i * m;
     std::int64_t j = 0;
-    for (; j + JT <= m; j += JT) {
-      T t0[JT];
-      for (std::int64_t x = 0; x < JT; ++x) t0[x] = c[j + x];
-      for (std::int64_t p = 0; p < k; ++p) {
-        const T* b = B + p * m + j;
-        const T v = a[p];
-        for (std::int64_t x = 0; x < JT; ++x) t0[x] += v * b[x];
-      }
-      for (std::int64_t x = 0; x < JT; ++x) c[j + x] = t0[x];
-    }
-    if (j < m) {
-      for (std::int64_t p = 0; p < k; ++p) {
-        const T* b = B + p * m;
-        const T v = a[p];
-        for (std::int64_t jj = j; jj < m; ++jj) c[jj] += v * b[jj];
-      }
-    }
+    for (; j + 2 * L <= mv; j += 2 * L)
+      detail::mm_tile<T, 4, 2>(a, B + j, c + j, k, m);
+    if (j < mv) detail::mm_tile<T, 4, 1>(a, B + j, c + j, k, m);
   }
+  for (std::int64_t i = n4; i < n; ++i) {
+    const T* a = A + i * k;
+    T* c = C + i * m;
+    std::int64_t j = 0;
+    for (; j + 8 * L <= mv; j += 8 * L)
+      detail::mm_tile<T, 1, 8>(a, B + j, c + j, k, m);
+    if (j + 4 * L <= mv) {
+      detail::mm_tile<T, 1, 4>(a, B + j, c + j, k, m);
+      j += 4 * L;
+    }
+    if (j + 2 * L <= mv) {
+      detail::mm_tile<T, 1, 2>(a, B + j, c + j, k, m);
+      j += 2 * L;
+    }
+    if (j < mv) detail::mm_tile<T, 1, 1>(a, B + j, c + j, k, m);
+  }
+  if (mv < m && n > 0) detail::mm_narrow(A, B, C, n, k, m, mv);
 }
 
 /// Thread-local transpose scratch of at least n elements for mm_abt_add.

@@ -166,7 +166,7 @@ Tensor gat_conv_impl(const Tensor& x, const std::vector<std::int64_t>& src,
     std::fill(st->ea.begin() + e_in * hf, st->ea.end(), T(0));
   }
   std::vector<T> scratch = detail::new_buffer_t<T>(
-      sz(fwd::gat_scratch_size(n, e_all, hf, heads)));
+      sz(fwd::gat_scratch_size(n, e_all, heads)));
   std::vector<double> seg_sum = detail::new_buffer(sz(n * heads));
   std::vector<T> out = detail::new_buffer_t<T>(sz(n * hf));
 

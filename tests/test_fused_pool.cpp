@@ -1,7 +1,8 @@
 // Tests for the tensor-engine hot-path machinery: fused linear/scatter ops
 // (forward equivalence + finite-difference gradients), the few-row dA += G·Bᵀ
-// kernel path (bit parity with the 4-row path), buffer-pool recycling
-// correctness, and determinism of the parallel trainer path.
+// kernel path (bit parity with the 4-row path), the register-tiled C += A·B
+// against its scalar oracle, buffer-pool recycling correctness, and
+// determinism of the parallel trainer path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include "models/trainer.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
+#include "matmul_reference.h"
 #include "tensor/segment_ops.h"
 #include "test_util.h"
 
@@ -222,6 +224,58 @@ TEST(FusedOpsGrad, DenseHeadInputGradMatchesFourRowPathBitForBit) {
         },
         dtype);
   }
+}
+
+// ---- kern::mm_add vs the scalar oracle (tests/matmul_reference.h) ----------
+
+/// Sets about a fifth of t's entries to +0 or -0.
+template <typename T>
+void sprinkle_signed_zeros(Tensor& t, util::Rng& rng) {
+  for (T& v : t.data_as<T>())
+    if (rng.bernoulli(0.2)) v = rng.bernoulli(0.5) ? T(0) : -T(0);
+}
+
+/// Every element of C += A·B from kern::mm_add, on a random nonzero C, and
+/// of ops::matmul (the library's call site: zeroed C), against the oracle.
+/// The shapes cover every tile of the kernel: row counts around its 4-row
+/// blocks and the model's 32 and 60, column counts around one and two
+/// 64-byte vectors of either width, and the narrow columns.
+template <typename T>
+void expect_mm_add_matches_reference() {
+  util::Rng rng(sizeof(T) == 4 ? 41 : 42);
+  const Dtype dt = dtype_of_v<T>;
+  for (std::int64_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 32, 60})
+    for (std::int64_t k : {1, 2, 6, 33, 256})
+      for (std::int64_t m : {1, 2, 15, 16, 17, 31, 32, 33, 64, 128}) {
+        Tensor a = Tensor::randn({n, k}, rng, dt);
+        Tensor b = Tensor::randn({k, m}, rng, dt);
+        Tensor c0 = Tensor::randn({n, m}, rng, dt);
+        sprinkle_signed_zeros<T>(a, rng);
+        sprinkle_signed_zeros<T>(b, rng);
+        sprinkle_signed_zeros<T>(c0, rng);
+        const T* av = a.data_as<T>().data();
+        const T* bv = b.data_as<T>().data();
+        std::vector<T> c = c0.data_as<T>(), ref = c;
+        kern::mm_add(av, bv, c.data(), n, k, m);
+        testing::mm_add_reference(av, bv, ref.data(), n, k, m);
+        EXPECT_EQ(std::memcmp(c.data(), ref.data(), c.size() * sizeof(T)), 0)
+            << "mm_add n=" << n << " k=" << k << " m=" << m
+            << " sizeof(T)=" << sizeof(T);
+        std::vector<T> zeroed(c.size(), T(0));
+        testing::mm_add_reference(av, bv, zeroed.data(), n, k, m);
+        const Tensor product = ops::matmul(a, b);
+        const auto& lib = product.data_as<T>();
+        EXPECT_EQ(
+            std::memcmp(lib.data(), zeroed.data(), zeroed.size() * sizeof(T)),
+            0)
+            << "ops::matmul n=" << n << " k=" << k << " m=" << m
+            << " sizeof(T)=" << sizeof(T);
+      }
+}
+
+TEST(MatmulOracle, MmAddEqualsReferenceBitForBit) {
+  expect_mm_add_matches_reference<float>();
+  expect_mm_add_matches_reference<double>();
 }
 
 // ---- Buffer pool ------------------------------------------------------------
