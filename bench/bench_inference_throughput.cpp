@@ -36,14 +36,15 @@
 // storage story — v3 checkpoint bytes and resident weight bytes against the
 // f64 reference checkpoint.  Two floors are asserted for the paper's model:
 // in full mode the q8 arena forward must never be slower than the exact f32
-// arena forward (>= 1x; the exact forward's tanh, read-out conv and softmax
-// exp are vectorized too now, so q8 keeps only its relaxed f32-lane
-// reductions and smaller weights, and measures about 1x), and in both
-// modes the q8 checkpoint + resident weights must shrink >= 4x vs the f64
-// reference (expected ~7.1x; f16 is exactly 4x and is reported unasserted).
-// Serial vs 1-worker determinism is asserted per quantized mode — the modes
-// are not bit-identical to f32, but each one is bit-identical to itself for
-// any worker count.
+// arena forward (>= 1x; a quantized model runs that same exact forward plus
+// a weight decode per stage, so --smoke measures q8 at 0.88-0.92x and f16
+// at 0.68-0.73x on a 4-vCPU AVX-512 host, and this floor fails; ROADMAP:
+// inference floors), and in both modes the q8 checkpoint + resident
+// weights must shrink >= 4x vs the f64 reference (expected ~7.1x; f16 is
+// exactly 4x and is reported unasserted).  Serial vs 1-worker determinism
+// is asserted per quantized mode: each computes with its decoded weights,
+// so it is not bit-identical to the exact f32 model, but it is to itself
+// for any worker count.
 //
 // Output goes to stdout as a table and to a JSON file (default
 // BENCH_inference.json in the current directory; override with --out PATH).
@@ -490,9 +491,9 @@ int main(int argc, char** argv) {
                                        rounds, qname, &qspeed);
 
           // Each quantized mode must be bit-identical to itself across
-          // worker counts (it is NOT bit-identical to the exact f32 path —
-          // that is the relaxed-numerics contract, checked for accuracy in
-          // bench_table3_accuracy).
+          // worker counts (it computes with the decoded weights, so it is
+          // NOT bit-identical to the exact f32 model; its accuracy is
+          // checked in bench_table3_accuracy).
           core::LinkPredictor::Options qo1 = qo;
           qo1.dataset.num_threads = 1;
           core::LinkPredictor qpred1(*model, qo1);
@@ -560,10 +561,9 @@ int main(int argc, char** argv) {
   }
 
   // Speed gate (full mode): the q8 arena forward is never slower than the
-  // exact f32 arena forward, on every model shape.  Both run a vectorized
-  // tanh, read-out conv and softmax exp; what q8 keeps is its relaxed
-  // softmax sums and reductions and 4x smaller weights, so the floor is
-  // parity, not a multiple, and the measured ratio sits near it (ROADMAP:
+  // exact f32 arena forward, on every model shape.  q8 runs the exact f32
+  // forward plus a weight decode per stage, so this floor measures the
+  // decode cost alone; --smoke measures 0.88-0.92x, below it (ROADMAP:
   // inference floors).
   for (const auto& mr : results) {
     std::printf("%-14s q8 arena speedup vs f32 arena: %.2fx\n",

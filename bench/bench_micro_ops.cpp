@@ -379,9 +379,9 @@ void BM_Q8DecodeRow(benchmark::State& state) {
 BENCHMARK(BM_Q8DecodeRow)->Arg(4096)->Arg(65536);
 
 void BM_Q8DecodeMatmul(benchmark::State& state) {
-  // decode(q8 weight) + mm_add at the quant forward's MP shape:
-  // x(n x 64) · W(64 x 64), weight decoded into scratch per call exactly as
-  // FrozenModel::forward_quant does.
+  // decode(q8 weight) + mm_add at a message-passing layer's shape:
+  // x(n x 64) · W(64 x 64), the weight decoded into scratch per call as the
+  // frozen forward of a quantized model does.
   const std::int64_t n = state.range(0), kDim = 64, m = 64;
   util::Rng rng(8);
   auto w = ag::Tensor::randn({kDim, m}, rng, ag::Dtype::f32);
@@ -453,9 +453,8 @@ BENCHMARK_TEMPLATE(BM_LinearBackward, double)
 
 void BM_TanhRow(benchmark::State& state) {
   // f32 tanh at the per-query activation volume of the tuned model
-  // (3 layers x 48 x 64): libm, the relaxed rational tanh of the quantized
-  // forward, and the exact vectorized kernel the trainer and the frozen
-  // forward share (same bits as (float)std::tanh((double)x)).
+  // (3 layers x 48 x 64): libm, and the exact vectorized kernel the trainer
+  // and the frozen forward share (same bits as (float)std::tanh((double)x)).
   const std::int64_t n = 9216;
   std::vector<float> x(static_cast<std::size_t>(n)), y(x.size());
   for (std::int64_t i = 0; i < n; ++i)
@@ -464,8 +463,6 @@ void BM_TanhRow(benchmark::State& state) {
   for (auto _ : state) {
     if (kind == 0) {
       for (std::int64_t i = 0; i < n; ++i) y[i] = std::tanh(x[i]);
-    } else if (kind == 1) {
-      for (std::int64_t i = 0; i < n; ++i) y[i] = ag::fwd::fast_tanh(x[i]);
     } else {
       std::copy(x.begin(), x.end(), y.begin());
       ag::fwd::tanh_inplace(y.data(), n);
@@ -474,10 +471,9 @@ void BM_TanhRow(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * n);
-  state.SetLabel(kind == 0 ? "std::tanh" : kind == 1 ? "fast_tanh"
-                                                      : "tanh_inplace (exact)");
+  state.SetLabel(kind == 0 ? "std::tanh" : "tanh_inplace (exact)");
 }
-BENCHMARK(BM_TanhRow)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_TanhRow)->Arg(0)->Arg(1);
 
 }  // namespace
 

@@ -25,7 +25,7 @@
 //   * bit-identity — every Server response must be byte-identical to the
 //     serial cold predict_links answer for the exact schemes (f32 and f64
 //     storage), and byte-identical ACROSS WORKER COUNTS for every scheme
-//     including the relaxed-numerics f16/q8 quantized forwards.
+//     including the f16/q8 quantized forwards.
 //
 // Output: a table on stdout and BENCH_serving.json (override with --out
 // PATH); rows carry per-request p50/p99 latency for both modes plus the
@@ -375,8 +375,9 @@ int main(int argc, char** argv) {
       }
   }
 
-  // Quantized schemes: relaxed numerics, so the contract is worker-count
-  // invariance (same bytes from 1 worker and 3), not equality with exact.
+  // Quantized schemes compute with the decoded weights, not the trained
+  // ones, so the contract here is worker-count invariance (same bytes from
+  // 1 worker and 3), not equality with the exact scheme.
   bool identity_quant = true;
   for (const auto scheme : {ag::quant::Scheme::kF16, ag::quant::Scheme::kQ8}) {
     auto po = cora_options(ag::Dtype::f32);

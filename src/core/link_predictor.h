@@ -44,10 +44,10 @@ class LinkPredictor {
     /// query.  Worker arenas warm up on their first query instead.
     std::int64_t warm_nodes = 0;
     std::int64_t warm_edges = 0;
-    /// Quantize-on-freeze scheme (DESIGN.md §2.7).  kNone keeps the exact
-    /// bit-identical forward; kF16 / kQ8 shrink the resident weights and run
-    /// the relaxed-numerics f32 forward — still deterministic for any worker
-    /// count, but not bit-identical to the exact path.
+    /// Quantize-on-freeze scheme (DESIGN.md §2.7).  kNone keeps the trained
+    /// weights; kF16 / kQ8 shrink the resident weights and run the exact f32
+    /// forward over their decoded values, so the logits are those of the
+    /// dequantized model.
     ag::quant::Scheme quantize = ag::quant::Scheme::kNone;
   };
 

@@ -34,16 +34,15 @@ class FrozenModel {
   /// model may be dropped afterwards; tensor handles keep the weights alive.
   /// Throws std::runtime_error if the parameter list does not match the
   /// model's config (count, per-tensor shape, dtype).
-  explicit FrozenModel(const models::LinkGNN& model);
-
-  /// Quantize-on-freeze (DESIGN.md §2.7): validate exactly like the exact
-  /// ctor, then re-encode every weight under `scheme` and RELEASE the f32/
-  /// f64 originals, so the resident footprint is the quantized payload.
-  /// With Scheme::kNone this is the exact ctor.  Quantized forwards decode
-  /// each tensor into arena scratch per query (inside mark/rewind scopes)
-  /// and run the relaxed-numerics kernels: outputs are deterministic per
-  /// scheme for any worker count, but NOT bit-identical to the f32 path.
-  FrozenModel(const models::LinkGNN& model, ag::quant::Scheme scheme);
+  ///
+  /// Quantize-on-freeze (DESIGN.md §2.7): with `scheme` kF16 or kQ8 every
+  /// weight is re-encoded and the f32/f64 original RELEASED, so the resident
+  /// footprint is the quantized payload.  The forward then decodes each
+  /// weight into arena scratch inside its stage's mark/rewind scope and runs
+  /// the exact f32 kernels: the logits equal, bit for bit, the exact f32
+  /// forward of a model whose parameters are the decoded values.
+  explicit FrozenModel(const models::LinkGNN& model,
+                       ag::quant::Scheme scheme = ag::quant::Scheme::kNone);
 
   /// Eval-mode logits for one sample, widened to double into
   /// `out[num_classes]`.  Bit-identical to the training forward pass.
@@ -63,7 +62,7 @@ class FrozenModel {
 
   const models::ModelConfig& config() const { return config_; }
 
-  /// Active quantization scheme (kNone = exact forward).
+  /// Active quantization scheme (kNone = the trained weights, no decode).
   ag::quant::Scheme quant() const { return quant_; }
 
   /// Bytes of resident weight storage: the raw tensor payload for the exact
@@ -73,20 +72,26 @@ class FrozenModel {
   std::size_t weight_bytes() const { return weight_bytes_; }
 
  private:
+  /// One frozen weight: the exact tensor, or after quantize-on-freeze only
+  /// its quantized payload (the exact handle is released).
+  struct Weight {
+    ag::Tensor exact;
+    ag::quant::QuantizedTensor quant;
+  };
+
   struct MpLayer {
-    ag::Tensor weight, bias;
-    ag::Tensor a_src, a_dst, edge_weight, a_edge;  // GAT only
+    Weight weight, bias;
+    Weight a_src, a_dst, edge_weight, a_edge;  // GAT only
     std::int64_t in = 0;
     std::int64_t out = 0;    // output width (H*F for GAT)
     std::int64_t heads = 1;  // GAT only
   };
 
-  /// Quantized mirror of MpLayer; active when quant_ != kNone (the
-  /// ag::Tensor handles above are released so the originals can die).
-  struct QuantMpLayer {
-    ag::quant::QuantizedTensor weight, bias;
-    ag::quant::QuantizedTensor a_src, a_dst, edge_weight, a_edge;
-  };
+  /// The values of `w` at width T: the exact tensor's storage, or its
+  /// payload decoded into `arena` scratch that lives until the caller's
+  /// stage rewinds.
+  template <typename T>
+  static const T* read(const Weight& w, Arena& arena);
 
   /// Throws std::invalid_argument unless the sample's shapes match the
   /// config and every edge index lies in [0, num_nodes).
@@ -98,24 +103,17 @@ class FrozenModel {
   template <typename T>
   const T* forward_impl(const seal::SubgraphSample& sample,
                         Arena& arena) const;
-  /// f32-compute forward over quantized weights (decode-to-arena-scratch,
-  /// relaxed-numerics kernels).  See the .cpp for the numerics contract.
-  const float* forward_quant(const seal::SubgraphSample& sample,
-                             Arena& arena) const;
 
   models::ModelConfig config_;
   std::int64_t edge_dim_ = 0;         // 0 = attention ignores edge attrs
   std::int64_t total_channels_ = 0;   // columns entering SortPooling
   std::int64_t conv_out_len_ = 0;     // length after the conv read-out
   std::vector<MpLayer> mp_;
-  ag::Tensor conv1_w_, conv1_b_, conv2_w_, conv2_b_;
-  ag::Tensor fc1_w_, fc1_b_, fc2_w_, fc2_b_;
+  Weight conv1_w_, conv1_b_, conv2_w_, conv2_b_;
+  Weight fc1_w_, fc1_b_, fc2_w_, fc2_b_;
 
   ag::quant::Scheme quant_ = ag::quant::Scheme::kNone;
   std::size_t weight_bytes_ = 0;
-  std::vector<QuantMpLayer> qmp_;
-  ag::quant::QuantizedTensor qconv1_w_, qconv1_b_, qconv2_w_, qconv2_b_;
-  ag::quant::QuantizedTensor qfc1_w_, qfc1_b_, qfc2_w_, qfc2_b_;
 };
 
 }  // namespace amdgcnn::infer

@@ -943,183 +943,6 @@ inline void max_pool1d_fwd(const T* __restrict__ xd, T* __restrict__ out,
     }
 }
 
-// ---- Relaxed-numerics kernels (quantized inference only, DESIGN.md §2.7) --
-//
-// The exact kernels above are pinned bit-for-bit to the training forward.
-// The quantized frozen forward (FrozenModel with a quant::Scheme) carries a
-// WEAKER contract — deterministic per mode across worker counts, AUC within
-// noise of f32 — which frees it to trade ulps for throughput: polynomial
-// exp/tanh instead of exact ones, f32 accumulation lanes instead of f64, and
-// reciprocal-multiply normalisation.  Every function here is a pure scalar
-// f32 map in a fixed order, so the per-mode determinism contract holds
-// trivially.  NOT used by any exact path.
-
-/// Cephes-style expf: n = round(x·log2e), two-part Cody–Waite ln2
-/// reduction, degree-6 Horner polynomial on [-ln2/2, ln2/2], 2^n built
-/// directly in the exponent field.  Relative error ~2e-7 over the clamped
-/// range; monotone saturation to 0 / FLT_MAX-scale at the ends.
-inline float fast_exp(float x) {
-  x = std::min(x, 88.0f);
-  x = std::max(x, -87.0f);
-  // Round-to-nearest via the 2^23 magic constant instead of std::floor —
-  // gcc refuses to vectorize the libm floor call (errno), and this is the
-  // one statement that kept whole-row exp loops scalar (~10x).  Any
-  // nearest-int choice of fx works: r compensates exactly.
-  const float fx = (x * 1.44269504088896341f + 12582912.0f) - 12582912.0f;
-  const auto n = static_cast<std::int32_t>(fx);
-  float r = x - fx * 0.693359375f;
-  r -= fx * -2.12194440e-4f;
-  float y = 1.9875691500e-4f;
-  y = y * r + 1.3981999507e-3f;
-  y = y * r + 8.3334519073e-3f;
-  y = y * r + 4.1665795894e-2f;
-  y = y * r + 1.6666665459e-1f;
-  y = y * r + 5.0000001201e-1f;
-  y = y * r * r + r + 1.0f;
-  // bit_cast, not memcpy: gcc vectorizes the former in row loops.
-  const auto bits = static_cast<std::uint32_t>(n + 127) << 23;
-  return y * std::bit_cast<float>(bits);
-}
-
-/// tanh as a clamped odd/even rational (13/6 Padé-style fit, the classic
-/// single-precision coefficients).  Branch-free — clamp via min/max, two
-/// Horner chains, one divide — so a loop over rows vectorizes; the
-/// fast_exp formulation 1 - 2/(e^{2x}+1) does not (its exponent-field
-/// bit-build defeats the vectorizer) and measured ~8x slower per element.
-/// Relative error ~1e-7 inside the clamp range; |x| >= 7.9 saturates to
-/// ±1 to within float rounding.
-inline float fast_tanh(float x) {
-  x = std::min(x, 7.90531110763549805f);
-  x = std::max(x, -7.90531110763549805f);
-  const float x2 = x * x;
-  float p = -2.76076847742355e-16f;
-  p = p * x2 + 2.00018790482477e-13f;
-  p = p * x2 + -8.60467152213735e-11f;
-  p = p * x2 + 5.12229709037114e-08f;
-  p = p * x2 + 1.48572235717979e-05f;
-  p = p * x2 + 6.37261928875436e-04f;
-  p = p * x2 + 4.89352455891786e-03f;
-  p *= x;
-  float q = 1.19825839466702e-06f;
-  q = q * x2 + 1.18534705686654e-04f;
-  q = q * x2 + 2.26843463243900e-03f;
-  q = q * x2 + 4.89352518554385e-03f;
-  return p / q;
-}
-
-/// heads_dot with f32 lane accumulation (the exact kernel uses f64 lanes).
-inline void heads_dot_relaxed(const float* __restrict__ x,
-                              const float* __restrict__ a,
-                              float* __restrict__ out, std::int64_t e,
-                              std::int64_t hf, std::int64_t heads) {
-  const std::int64_t f = hf / heads;
-  for (std::int64_t r = 0; r < e; ++r) {
-    const float* xrow = x + r * hf;
-    for (std::int64_t h = 0; h < heads; ++h) {
-      constexpr int kLanes = 8;
-      float lanes[kLanes] = {};
-      const float* arow = a + h * f;
-      const float* hx = xrow + h * f;
-      std::int64_t c = 0;
-      for (; c + kLanes <= f; c += kLanes)
-        for (int l = 0; l < kLanes; ++l) lanes[l] += hx[c + l] * arow[c + l];
-      float acc = 0.0f;
-      for (int l = 0; l < kLanes; ++l) acc += lanes[l];
-      for (; c < f; ++c) acc += hx[c] * arow[c];
-      out[r * heads + h] = acc;
-    }
-  }
-}
-
-/// Segment softmax with fast_exp, f32 segment sums and reciprocal-multiply
-/// normalisation.  `seg_sum` is f32 caller scratch (zeroed here); it is
-/// overwritten with the reciprocals during the normalise pass.  The
-/// max-subtract (a gather) and the exp are separate passes so the exp runs
-/// over a contiguous array and vectorizes — fused, the segment gather
-/// forces it scalar (~4x the cost at typical subgraph sizes).
-inline void segment_softmax_relaxed(const float* __restrict__ sv,
-                                    const std::int64_t* __restrict__ segment,
-                                    float* __restrict__ out,
-                                    float* __restrict__ seg_max,
-                                    float* __restrict__ seg_sum,
-                                    std::int64_t e, std::int64_t h,
-                                    std::int64_t num_segments) {
-  std::fill(seg_max, seg_max + num_segments * h,
-            -std::numeric_limits<float>::infinity());
-  std::fill(seg_sum, seg_sum + num_segments * h, 0.0f);
-  for (std::int64_t r = 0; r < e; ++r)
-    for (std::int64_t c = 0; c < h; ++c)
-      seg_max[segment[r] * h + c] =
-          std::max(seg_max[segment[r] * h + c], sv[r * h + c]);
-  for (std::int64_t r = 0; r < e; ++r)
-    for (std::int64_t c = 0; c < h; ++c)
-      out[r * h + c] = sv[r * h + c] - seg_max[segment[r] * h + c];
-  for (std::int64_t i = 0; i < e * h; ++i) out[i] = fast_exp(out[i]);
-  for (std::int64_t r = 0; r < e; ++r)
-    for (std::int64_t c = 0; c < h; ++c)
-      seg_sum[segment[r] * h + c] += out[r * h + c];
-  // Empty segments keep sum 0 -> inf reciprocal, but no edge reads them.
-  for (std::int64_t i = 0; i < num_segments * h; ++i)
-    seg_sum[i] = 1.0f / seg_sum[i];
-  for (std::int64_t r = 0; r < e; ++r)
-    for (std::int64_t c = 0; c < h; ++c)
-      out[r * h + c] *= seg_sum[segment[r] * h + c];
-}
-
-/// out[i,j] = dot(a_i, b_j) for row-major a (m x k) and b (n x k): both
-/// operands are walked along contiguous rows, so narrow outputs (n < a
-/// register tile) stay fully vectorized where mm_add's column-tiled loop
-/// would fall to its scalar remainder.  f32 lane accumulation, fixed order.
-inline void dot_rows_relaxed(const float* __restrict__ a,
-                             const float* __restrict__ b,
-                             float* __restrict__ out, std::int64_t m,
-                             std::int64_t n, std::int64_t k) {
-  // b-row outer / a-row inner: each b row streams through once while the
-  // (smaller) a matrix stays cache-resident — the other nesting re-streams
-  // all of b per a row and falls off L1 once a+b exceed it (measured ~6x
-  // at the conv1 shape).  Two lane arrays per dot break the single-FMA
-  // dependency chain.
-  constexpr int kLanes = 8;
-  for (std::int64_t j = 0; j < n; ++j) {
-    const float* brow = b + j * k;
-    for (std::int64_t i = 0; i < m; ++i) {
-      const float* arow = a + i * k;
-      float lanes0[kLanes] = {};
-      float lanes1[kLanes] = {};
-      std::int64_t c = 0;
-      for (; c + 2 * kLanes <= k; c += 2 * kLanes) {
-        for (int l = 0; l < kLanes; ++l)
-          lanes0[l] += arow[c + l] * brow[c + l];
-        for (int l = 0; l < kLanes; ++l)
-          lanes1[l] += arow[c + kLanes + l] * brow[c + kLanes + l];
-      }
-      for (; c + kLanes <= k; c += kLanes)
-        for (int l = 0; l < kLanes; ++l) lanes0[l] += arow[c + l] * brow[c + l];
-      float acc = 0.0f;
-      for (int l = 0; l < kLanes; ++l) acc += lanes0[l] + lanes1[l];
-      for (; c < k; ++c) acc += arow[c] * brow[c];
-      out[i * n + j] = acc;
-    }
-  }
-}
-
-/// out[m] = bias[m] + a[k] · w[k,m] as k rank-1 updates: each step
-/// broadcasts a[kk] and FMAs a contiguous weight row, so the loop
-/// vectorizes over m regardless of how small the single "batch" row is
-/// (mm_add's 4-row tile degenerates at n == 1).  f32 accumulation.
-inline void vecmat_relaxed(const float* __restrict__ a,
-                           const float* __restrict__ w,
-                           const float* __restrict__ bias,
-                           float* __restrict__ out, std::int64_t k,
-                           std::int64_t m) {
-  for (std::int64_t j = 0; j < m; ++j) out[j] = bias[j];
-  for (std::int64_t kk = 0; kk < k; ++kk) {
-    const float av = a[kk];
-    const float* wrow = w + kk * m;
-    for (std::int64_t j = 0; j < m; ++j) out[j] += av * wrow[j];
-  }
-}
-
 /// Row-wise softmax forward (f64 max/normaliser per the dtype policy).
 template <typename T>
 inline void softmax_rows_fwd(const T* __restrict__ av, T* __restrict__ out,

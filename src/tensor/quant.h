@@ -8,14 +8,13 @@
 //     -128 is never produced, which the checkpoint loader uses as a
 //     fail-closed garbage detector.
 //
-// Quantization is a FROZEN-MODEL transform: training stays f32/f64, and the
-// quantized forward decodes each weight tensor to f32 arena scratch right
-// before its kernel runs (resident weights stay quantized; the arena holds
-// one decoded tensor at a time inside a mark/rewind scope).  All arithmetic
-// accumulates at f32-or-wider in a fixed order, so each quantized mode is
-// bit-deterministic across worker counts — the same contract the
-// exact f32/f64 paths carry (the modes differ from each other and from f32,
-// but never from themselves).
+// Quantization is a FROZEN-MODEL storage codec: training stays f32/f64, and
+// the frozen forward decodes each weight tensor to f32 arena scratch right
+// before its stage runs (resident weights stay quantized; the arena holds
+// one stage's decoded weights at a time inside a mark/rewind scope), then
+// runs the exact f32 kernels.  Both decodes are exact, so a quantized
+// model's logits equal, bit for bit, the exact f32 forward of a model whose
+// parameters are the decoded values.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +25,8 @@
 
 namespace amdgcnn::ag::quant {
 
-/// Frozen-weight quantization scheme.  kNone leaves the exact f32/f64 path
-/// untouched (bit-identical to training).
+/// Frozen-weight quantization scheme.  kNone keeps the trained f32/f64
+/// weights (bit-identical to training).
 enum class Scheme : std::uint8_t { kNone = 0, kF16 = 1, kQ8 = 2 };
 
 inline constexpr const char* scheme_name(Scheme s) {
@@ -56,7 +55,7 @@ void q8_dequantize(const std::int8_t* q, const float* scales, float* dst,
                    std::int64_t n);
 
 /// One frozen weight tensor in quantized storage.  Exactly one payload is
-/// active, selected by `mode`; values() decodes into caller storage.
+/// active, selected by `mode`; decode() expands it into caller storage.
 struct QuantizedTensor {
   Scheme mode = Scheme::kNone;
   std::int64_t n = 0;            // element count

@@ -1,10 +1,11 @@
 // Quantized inference tier (DESIGN.md §2.7): the f16 storage codec
 // (exhaustive 65536-pattern round-trip, table/bit-decode agreement,
 // monotonicity, NaN/inf handling), the q8 block format (error bound,
-// -128 never produced), the quantized frozen forward (closeness to the
-// exact f32 path, worker-count determinism, arena warm-up coverage,
-// resident-weight shrink) and the v3 checkpoint format (dequantized-value
-// round-trip, the checked-in fixture, and the fail-closed negative paths).
+// -128 never produced), the quantized frozen forward (bit-identity with the
+// exact f32 forward of the dequantized model, closeness to the trained
+// model, worker-count determinism, arena warm-up coverage, resident-weight
+// shrink) and the v3 checkpoint format (dequantized-value round-trip, the
+// checked-in fixture, and the fail-closed negative paths).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -275,9 +276,9 @@ TEST(QuantizedForward, ResidentWeightBytesShrink) {
 }
 
 TEST(QuantizedForward, RejectsEdgeIndicesOutOfRange) {
-  // forward_quant indexes arena rows with the sample's ids like the exact
-  // forward: one past the end used to return probabilities, a far id to
-  // crash.
+  // The forward indexes arena rows with the sample's ids unchecked, so an id
+  // past the end must be rejected up front: one past the end would read a
+  // neighbouring arena buffer, a far id would crash.
   util::Rng rng(25);
   auto model = models::make_link_gnn(
       small_config(models::GnnKind::kAMDGCNN, ag::Dtype::f32), rng);
@@ -303,26 +304,86 @@ TEST(QuantizedForward, RejectsEdgeIndicesOutOfRange) {
 
 TEST(QuantizedForward, ArenaStopsGrowingAfterWarmUp) {
   // warm_up routes through the dispatching forward, so it must also cover
-  // the per-stage decode scratch of the quantized path.
-  for (auto scheme : {ag::quant::Scheme::kF16, ag::quant::Scheme::kQ8}) {
-    util::Rng rng(24);
-    auto model = models::make_link_gnn(
-        small_config(models::GnnKind::kAMDGCNN, ag::Dtype::f32), rng);
-    infer::FrozenModel frozen(*model, scheme);
-    infer::Arena arena;
-    frozen.warm_up(arena, /*max_nodes=*/16, /*max_edges=*/32);
-    EXPECT_EQ(arena.block_count(), 1u);
-    const std::size_t capacity = arena.capacity_bytes();
-    ASSERT_GT(capacity, 0u);
-    double sink[2];
-    for (std::int64_t leaves : {1, 4, 8, 15}) {
-      const auto s = star_sample(leaves, 0.5, ag::Dtype::f32);
-      frozen.forward_logits(s, arena, sink);
-      EXPECT_EQ(arena.capacity_bytes(), capacity)
-          << ag::quant::scheme_name(scheme) << " leaves=" << leaves;
-      EXPECT_EQ(arena.block_count(), 1u);
+  // the decode scratch of every stage: both message-passing branches, the
+  // conv and dense scopes, and the feature cast of an f64-config model.
+  for (const auto& mc : {small_config(models::GnnKind::kVanillaDGCNN,
+                                      ag::Dtype::f32),
+                         small_config(models::GnnKind::kAMDGCNN,
+                                      ag::Dtype::f32),
+                         small_config(models::GnnKind::kAMDGCNN,
+                                      ag::Dtype::f64)}) {
+    for (auto scheme : {ag::quant::Scheme::kF16, ag::quant::Scheme::kQ8}) {
+      const std::string tag = std::string(models::gnn_kind_name(mc.kind)) +
+                              " " + ag::dtype_name(mc.dtype) + " " +
+                              ag::quant::scheme_name(scheme);
+      util::Rng rng(24);
+      auto model = models::make_link_gnn(mc, rng);
+      infer::FrozenModel frozen(*model, scheme);
+      infer::Arena arena;
+      frozen.warm_up(arena, /*max_nodes=*/16, /*max_edges=*/32);
+      EXPECT_EQ(arena.block_count(), 1u) << tag;
+      const std::size_t capacity = arena.capacity_bytes();
+      ASSERT_GT(capacity, 0u);
+      double sink[2];
+      for (std::int64_t leaves : {1, 4, 8, 15}) {
+        const auto s = star_sample(leaves, 0.5, mc.dtype);
+        frozen.forward_logits(s, arena, sink);
+        EXPECT_EQ(arena.capacity_bytes(), capacity)
+            << tag << " leaves=" << leaves;
+        EXPECT_EQ(arena.block_count(), 1u) << tag << " leaves=" << leaves;
+      }
     }
   }
+}
+
+TEST(QuantizedForward, LogitsEqualExactF32ForwardOfDequantizedWeights) {
+  // Both codecs decode exactly, so a quantized model is the exact f32
+  // forward of the model whose parameters are the decoded values — for
+  // either source dtype (an f64 model is narrowed to f32 before encoding).
+  for (auto kind :
+       {models::GnnKind::kVanillaDGCNN, models::GnnKind::kAMDGCNN})
+    for (auto dtype : {ag::Dtype::f32, ag::Dtype::f64})
+      for (auto scheme : {ag::quant::Scheme::kF16, ag::quant::Scheme::kQ8}) {
+        const std::string tag = std::string(models::gnn_kind_name(kind)) +
+                                " " + ag::dtype_name(dtype) + " " +
+                                ag::quant::scheme_name(scheme);
+        util::Rng rng(26);
+        auto model = models::make_link_gnn(small_config(kind, dtype), rng);
+        infer::FrozenModel quant(*model, scheme);
+
+        util::Rng other(27);
+        auto dequant = models::make_link_gnn(
+            small_config(kind, ag::Dtype::f32), other);
+        dequant->set_training(false);
+        const auto src = model->parameters();
+        auto dst = dequant->parameters();
+        ASSERT_EQ(src.size(), dst.size());
+        for (std::size_t i = 0; i < src.size(); ++i)
+          ag::quant::quantize_tensor(src[i], scheme)
+              .decode(dst[i].data_as<float>().data());
+        infer::FrozenModel exact(*dequant);
+
+        infer::Arena qarena, arena;
+        for (std::int64_t leaves : {1, 4, 9, 15}) {
+          const auto s = star_sample(leaves, 0.3, dtype);
+          util::Rng fwd(1);
+          const auto trained = dequant->forward(s, fwd);
+          double want[2], got[2], want_p[2], got_p[2];
+          exact.forward_logits(s, arena, want);
+          quant.forward_logits(s, qarena, got);
+          exact.predict_proba(s, arena, want_p);
+          quant.predict_proba(s, qarena, got_p);
+          for (int j = 0; j < 2; ++j) {
+            EXPECT_EQ(bits_of(static_cast<float>(got[j])),
+                      bits_of(static_cast<float>(want[j])))
+                << tag << " leaves=" << leaves << " logit " << j;
+            EXPECT_EQ(got[j], trained.item(j))
+                << tag << " leaves=" << leaves << " logit " << j;
+            EXPECT_EQ(got_p[j], want_p[j])
+                << tag << " leaves=" << leaves << " proba " << j;
+          }
+        }
+      }
 }
 
 TEST(QuantizedForward, PredictLinksDeterministicAcrossWorkerCounts) {

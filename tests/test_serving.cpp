@@ -238,8 +238,8 @@ TEST(ServerScore, QuantizedSchemesAreWorkerCountInvariant) {
     const auto predictor = fx.predictor(scheme);
     const std::string tag = ag::quant::scheme_name(scheme);
     // The per-scheme reference: the Server must reproduce the predictor's
-    // own serial path bytes (exact for kNone, relaxed-numerics for f16/q8 —
-    // but still deterministic), for every worker count.
+    // own serial path bytes (the trained weights for kNone, the decoded
+    // weights for f16/q8), for every worker count.
     const auto want = predictor.predict_links(fx.data.graph, links);
     for (const int workers : {1, 3}) {
       serve::ServerOptions so;
