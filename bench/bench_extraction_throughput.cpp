@@ -12,12 +12,14 @@
 // stage times slightly exceed the end-to-end time).
 //
 // The scale tier (DESIGN.md §2.6) then runs the same extraction on
-// 10^5- and 10^6-node streaming-generated graphs, comparing the legacy
-// clear-per-link kernel against the epoch kernel (gated at >= 5x at a
-// million nodes) and source-frontier replay on a shared-endpoint candidate
-// batch, plus snapshot save / mmap-load timings (mmap load gated at >= 20x
-// over the generator build).  The gates are asserted in full mode only;
-// --smoke shrinks the tier to one small graph and checks bytes, not speed.
+// 10^5- and 10^6-node streaming-generated graphs, comparing the
+// clear-per-link extraction of tests/extraction_reference.h (the test
+// oracle, O(num_nodes) scratch per link) against the library's epoch kernel
+// (gated at >= 5x at a million nodes) and source-frontier replay on a
+// shared-endpoint candidate batch, plus snapshot save / mmap-load timings
+// (mmap load gated at >= 20x over the generator build).  The gates are
+// asserted in full mode only; --smoke shrinks the tier to one small graph
+// and checks bytes, not speed.
 //
 // Output goes to stdout as a table and to a JSON file (default
 // BENCH_extraction.json in the current directory; override with --out PATH).
@@ -33,6 +35,7 @@
 
 #include "bench_common.h"
 #include "datasets/kg_generator.h"
+#include "extraction_reference.h"
 #include "graph/subgraph.h"
 #include "seal/drnl.h"
 #include "util/rng.h"
@@ -59,7 +62,6 @@ struct DatasetResult {
   std::size_t num_links = 0;
   std::vector<RunResult> runs;
   std::vector<StageResult> stages;  // serial per-stage breakdown
-  ag::PoolStats i32_pool;           // int32 scratch pool after the runs
 };
 
 seal::SealDatasetOptions build_options(const datasets::LinkDataset& data) {
@@ -95,7 +97,7 @@ RunResult time_build(const graph::KnowledgeGraph& g,
                      seal::SealDatasetOptions options, std::int64_t threads,
                      int reps, std::vector<seal::SubgraphSample>* keep) {
   options.num_threads = threads;
-  seal::build_samples(g, links, options);  // warmup: fills the scratch pool
+  seal::build_samples(g, links, options);  // warmup: grows the scratch
   util::Stopwatch watch;
   std::vector<seal::SubgraphSample> samples;
   for (int r = 0; r < reps; ++r)
@@ -173,7 +175,7 @@ struct ScaleResult {
   double save_seconds = 0.0;       // save_snapshot
   double load_map_seconds = 0.0;   // load_snapshot(kMap)
   double load_copy_seconds = 0.0;  // load_snapshot(kCopy)
-  double clear_links_per_sec = 0.0;     // legacy clear-per-link kernel
+  double clear_links_per_sec = 0.0;     // clear-per-link test oracle
   double epoch_links_per_sec = 0.0;     // epoch kernel (default)
   double frontier_links_per_sec = 0.0;  // epoch + reuse on a candidate batch
   double epoch_speedup = 0.0;           // epoch vs clear
@@ -193,23 +195,17 @@ bool subgraphs_equal(const graph::EnclosingSubgraph& x,
   return true;
 }
 
-/// Links/sec of extraction over `links`, repeating whole passes until the
-/// clock has accumulated enough signal (>= 3 passes and >= 0.25 s).
-/// Links/sec of extract_enclosing_subgraph over `links`.  With a
-/// `source_slot`, every link passes it as its source's frontier slot: the
-/// warm-up fills it, and every timed extraction replays it.
-double time_extraction(const graph::KnowledgeGraph& g,
-                       const std::vector<seal::LinkExample>& links,
-                       const graph::ExtractOptions& opt,
-                       std::shared_ptr<const graph::Frontier>* source_slot =
-                           nullptr) {
-  graph::extract_enclosing_subgraph(g, links[0].a, links[0].b, opt,
-                                    source_slot);  // warmup
+/// Links/sec of `extract` (link -> subgraph) over `links`, after one
+/// warm-up call, repeating whole passes until the clock has accumulated
+/// enough signal (>= 3 passes and >= 0.25 s).
+template <typename Extract>
+double time_extraction(const std::vector<seal::LinkExample>& links,
+                       Extract&& extract) {
+  extract(links[0]);  // warmup
   util::Stopwatch watch;
   int passes = 0;
   do {
-    for (const auto& l : links)
-      graph::extract_enclosing_subgraph(g, l.a, l.b, opt, source_slot);
+    for (const auto& l : links) extract(l);
     ++passes;
   } while (passes < 3 || watch.seconds() < 0.25);
   return static_cast<double>(links.size()) * passes / watch.seconds();
@@ -267,14 +263,16 @@ ScaleResult run_scale_tier(std::int64_t num_nodes, bool smoke) {
   ex.num_hops = 2;
   ex.max_nodes = 32;
 
-  // Both kernels must produce identical subgraphs before their speeds mean
-  // anything.
+  // The epoch kernel must reproduce the oracle's subgraphs before their
+  // speeds mean anything.
+  const auto clear = [&](const seal::LinkExample& l) {
+    return testing::extract_reference(g, l.a, l.b, ex);
+  };
+  const auto epoch = [&](const seal::LinkExample& l) {
+    return graph::extract_enclosing_subgraph(g, l.a, l.b, ex);
+  };
   for (const auto& l : links) {
-    auto clear_opt = ex;
-    clear_opt.clear_per_link = true;
-    const auto a = graph::extract_enclosing_subgraph(g, l.a, l.b, clear_opt);
-    const auto b = graph::extract_enclosing_subgraph(g, l.a, l.b, ex);
-    if (!subgraphs_equal(a, b)) {
+    if (!subgraphs_equal(clear(l), epoch(l))) {
       std::fprintf(stderr,
                    "FATAL: epoch kernel differs from clear-per-link on "
                    "(%d, %d) at %lld nodes\n",
@@ -283,10 +281,8 @@ ScaleResult run_scale_tier(std::int64_t num_nodes, bool smoke) {
     }
   }
 
-  auto clear_opt = ex;
-  clear_opt.clear_per_link = true;
-  r.clear_links_per_sec = time_extraction(g, links, clear_opt);
-  r.epoch_links_per_sec = time_extraction(g, links, ex);
+  r.clear_links_per_sec = time_extraction(links, clear);
+  r.epoch_links_per_sec = time_extraction(links, epoch);
   r.epoch_speedup = r.epoch_links_per_sec / r.clear_links_per_sec;
 
   // Serving-shaped candidate batch: one source fanned out against many
@@ -303,7 +299,11 @@ ScaleResult run_scale_tier(std::int64_t num_nodes, bool smoke) {
     }
   }
   std::shared_ptr<const graph::Frontier> source_frontier;
-  r.frontier_links_per_sec = time_extraction(g, batch, ex, &source_frontier);
+  r.frontier_links_per_sec =
+      time_extraction(batch, [&](const seal::LinkExample& l) {
+        return graph::extract_enclosing_subgraph(g, l.a, l.b, ex,
+                                                 &source_frontier);
+      });
   if (source_frontier == nullptr) {
     std::fprintf(stderr, "FATAL: the fan's source frontier was never filled\n");
     std::exit(1);
@@ -348,14 +348,7 @@ void write_json(const std::string& path,
                     s + 1 < ds.stages.size() ? "," : "");
       out << buf;
     }
-    const double acq =
-        static_cast<double>(ds.i32_pool.hits + ds.i32_pool.misses);
-    out << "      ],\n      \"i32_pool\": {"
-        << "\"peak_in_use_bytes\": " << ds.i32_pool.peak_in_use_bytes
-        << ", \"peak_pooled_bytes\": " << ds.i32_pool.peak_pooled_bytes
-        << ", \"hit_rate\": "
-        << (acq > 0.0 ? static_cast<double>(ds.i32_pool.hits) / acq : 0.0)
-        << "}\n    }" << (d + 1 < datasets.size() ? "," : "") << "\n";
+    out << "      ]\n    }" << (d + 1 < datasets.size() ? "," : "") << "\n";
   }
   out << "  ],\n  \"scale_tier\": [\n";
   for (std::size_t s = 0; s < scale.size(); ++s) {
@@ -455,7 +448,6 @@ int main(int argc, char** argv) {
       }
     }
     dr.stages = time_stages(dset.graph, links, options, reps);
-    dr.i32_pool = ag::detail::i32_buffer_pool().stats();
 
     for (const auto& run : dr.runs)
       std::printf("%-12s %-8s threads=%d  %8.1f links/sec  (%.4fs)\n",

@@ -124,11 +124,12 @@ if [[ "${run_sanitize}" -eq 1 ]]; then
   # tests/conv_reference.h (the exp kernel's tests, ExpKernel.*, run with the
   # dtype suite below); MatmulOracle: kern::mm_add's register tiles and
   # narrow-column path, and their non-FMA rounding against
-  # tests/matmul_reference.h; Bfs.EpochKernel...: the
+  # tests/matmul_reference.h; Bfs, ShortestPath, VisitEpochMap: the
   # epoch BFS's 8-byte slot map and its row prefetches, whose addresses come
   # from loaded CSR offsets (the scale suite below covers the same hints on
-  # mapped and overlay-patched graphs).
-  unit_tests='ParallelDatasetBuild|DrnlProperty|ExtractionProperty|DynamicGraphProperty|BufferPool|SortPoolEquivalence|GatConvOp|GATLayer|ParallelTrainer|Conv1dOracle|MatmulOracle|Bfs\.EpochKernelMatchesReferenceBfs'
+  # mapped and overlay-patched graphs), shortest_path_length's thread-local
+  # map and the map's 32-bit epoch wraparound.
+  unit_tests='ParallelDatasetBuild|DrnlProperty|ExtractionProperty|DynamicGraphProperty|BufferPool|SortPoolEquivalence|GatConvOp|GATLayer|ParallelTrainer|Conv1dOracle|MatmulOracle|Bfs\.|ShortestPath\.|VisitEpochMap\.'
   require_tests "${asan_dir}" -R "${unit_tests}"
   ctest --test-dir "${asan_dir}" --output-on-failure -R "${unit_tests}"
   require_tests "${asan_dir}" -L dtype

@@ -7,24 +7,10 @@
 #include <stdexcept>
 
 #include "graph/traversal.h"
-#include "tensor/tensor.h"
 
 namespace amdgcnn::graph {
 
 namespace {
-
-/// Scratch buffer borrowed from the calling thread's int32 pool and returned
-/// on destruction: the legacy clear-per-link kernel's O(N) distance maps,
-/// queue and local-id map (DESIGN.md §2.2).  The epoch kernel keeps its
-/// scratch in ExtractScratch instead.
-struct PooledI32 {
-  std::vector<std::int32_t> v;
-  explicit PooledI32(std::size_t n)
-      : v(ag::detail::i32_buffer_pool().acquire(n)) {}
-  ~PooledI32() { ag::detail::i32_buffer_pool().release(std::move(v)); }
-  PooledI32(const PooledI32&) = delete;
-  PooledI32& operator=(const PooledI32&) = delete;
-};
 
 /// BFS distances within the local subgraph from `source`, with one local
 /// node masked (removed).  Adjacency is flat CSR (off has m + 1 entries);
@@ -49,7 +35,7 @@ void local_bfs_csr(const std::int32_t* off, const std::int32_t* adj,
   }
 }
 
-// ---- Epoch-kernel per-thread state ------------------------------------------
+// ---- Per-thread state -------------------------------------------------------
 
 /// Process-wide frontier-slot counters: two relaxed increments per slotted
 /// BFS are noise next to the traversal they count, and every consumer (the
@@ -57,15 +43,25 @@ void local_bfs_csr(const std::int32_t* off, const std::int32_t* adj,
 std::atomic<std::int64_t> g_frontier_hits{0};
 std::atomic<std::int64_t> g_frontier_misses{0};
 
-/// Thread-local scratch for the epoch kernel: visited maps, frontier lists,
-/// the stamped local-id map and local-CSR buffers all persist across links,
-/// so per-link work is proportional to the subgraph actually touched.
+/// Size-cap key: the candidates closest to the target pair sort first.  The
+/// node id makes every key unique.
+struct Closeness {
+  std::int32_t sum, nearest;
+  NodeId v;
+  auto operator<=>(const Closeness&) const = default;
+};
+
+/// Thread-local extraction scratch: visited maps, frontier lists, the
+/// stamped local-id map, the cap's keys and the local-CSR buffers all
+/// persist across links, so per-link work is proportional to the subgraph
+/// actually touched.
 struct ExtractScratch {
   VisitEpochMap da, db;
   std::vector<NodeId> va, vb;  // frontier node lists (discovery order)
   std::vector<NodeId> merged;  // sorted union minus the targets
   std::vector<NodeId> sort_tmp;  // radix-sort scratch for `merged`
   VisitEpochMap local_id;      // original id -> local id
+  std::vector<Closeness> keys;  // size-cap keys
   // Local-CSR / DRNL scratch.
   std::vector<std::int32_t> off, ladj, cursor, queue;
 };
@@ -74,17 +70,6 @@ ExtractScratch& tls_scratch() {
   thread_local ExtractScratch s;
   return s;
 }
-
-/// Dense local-id map over a pooled full-size array (the legacy kernel's
-/// O(num_nodes) fill — part of the clear-per-link baseline cost).
-struct DenseLocalMap {
-  PooledI32 buf;
-  explicit DenseLocalMap(std::size_t n) : buf(n) {
-    std::fill(buf.v.begin(), buf.v.end(), std::int32_t{-1});
-  }
-  void set(NodeId v, std::int32_t lid) { buf.v[v] = lid; }
-  std::int32_t get(NodeId v) const { return buf.v[v]; }
-};
 
 /// 4096-bit membership filter over one link's kept node ids (multiplicative
 /// hash).  It fits in L1, so the induced-edge scan rejects nearly every
@@ -108,38 +93,26 @@ class KeptFilter {
   std::array<std::uint64_t, 64> bits_{};
 };
 
-/// Shared tail of both kernels: size cap, node list, edge induction, local
-/// CSR and DRNL distances.  `dist_of_a` / `dist_of_b` return the hop-bounded
-/// BFS distance or kUnreachable; `local_of` maps original -> local ids.
-/// This is the single definition of the extraction bytes past the BFS, so
-/// the kernels cannot drift apart.
-template <typename DistA, typename DistB, typename LocalOf>
+/// Extraction past the two BFS runs: size cap, node list, edge induction,
+/// local CSR and DRNL distances.  `s.da` / `s.db` hold the targets'
+/// hop-bounded distances for this link.
 void finish_subgraph(const KnowledgeGraph& g, NodeId a, NodeId b,
                      EdgeId masked_edge, const ExtractOptions& options,
                      std::vector<NodeId>& candidates, EnclosingSubgraph& sub,
-                     DistA dist_of_a, DistB dist_of_b, LocalOf&& local_of,
-                     std::vector<std::int32_t>& off,
-                     std::vector<std::int32_t>& ladj,
-                     std::vector<std::int32_t>& cursor,
-                     std::vector<std::int32_t>& queue) {
+                     ExtractScratch& s) {
   // Apply the size cap: keep the max_nodes - 2 candidates closest to the
   // target pair, in closeness order.  The node id makes every key unique, so
   // a partial sort yields exactly the prefix a full sort would, at
   // O(n log keep) instead of O(n log n) over a hub's 2-hop neighborhood.
   if (options.max_nodes > 0 &&
       static_cast<std::int64_t>(candidates.size()) + 2 > options.max_nodes) {
-    struct Closeness {
-      std::int32_t sum, nearest;
-      NodeId v;
-      auto operator<=>(const Closeness&) const = default;
-    };
-    thread_local std::vector<Closeness> keys;
+    auto& keys = s.keys;
     keys.clear();
     // Unreachable distances count as a large constant so reachable-from-both
     // nodes sort first.
     const std::int32_t large = 4 * options.num_hops + 4;
     for (const NodeId v : candidates) {
-      const std::int32_t ra = dist_of_a(v), rb = dist_of_b(v);
+      const std::int32_t ra = s.da.get(v), rb = s.db.get(v);
       const std::int32_t xa = ra == kUnreachable ? large : ra;
       const std::int32_t xb = rb == kUnreachable ? large : rb;
       keys.push_back({xa + xb, std::min(xa, xb), v});
@@ -160,9 +133,10 @@ void finish_subgraph(const KnowledgeGraph& g, NodeId a, NodeId b,
   using RowStep = KnowledgeGraph::RowStep;
   for (const NodeId v : sub.nodes) g.prefetch_row(v, RowStep::kOffset);
   for (const NodeId v : sub.nodes) g.prefetch_row(v, RowStep::kAdjacency);
+  s.local_id.begin(g.num_nodes());
   KeptFilter kept;
   for (std::size_t i = 0; i < sub.nodes.size(); ++i) {
-    local_of.set(sub.nodes[i], static_cast<std::int32_t>(i));
+    s.local_id.set(sub.nodes[i], static_cast<std::int32_t>(i));
     kept.insert(sub.nodes[i]);
   }
 
@@ -174,7 +148,7 @@ void finish_subgraph(const KnowledgeGraph& g, NodeId a, NodeId b,
     const NodeId u = sub.nodes[i];
     for (const auto& adj : g.neighbors(u)) {
       if (adj.edge == masked_edge || !kept.may_contain(adj.node)) continue;
-      const std::int32_t lv = local_of.get(adj.node);
+      const std::int32_t lv = s.local_id.get(adj.node);
       if (lv < 0) continue;
       const std::int32_t lu = static_cast<std::int32_t>(i);
       if (lu < lv) sub.edges.push_back({lu, lv, adj.edge});
@@ -191,6 +165,9 @@ void finish_subgraph(const KnowledgeGraph& g, NodeId a, NodeId b,
   // removed (Zhang & Chen 2018 convention).  Local adjacency as flat CSR
   // (counting sort over the edge list).
   const auto m = static_cast<std::int32_t>(sub.nodes.size());
+  auto& off = s.off;
+  auto& ladj = s.ladj;
+  auto& cursor = s.cursor;
   off.assign(static_cast<std::size_t>(m) + 1, 0);
   ladj.resize(2 * sub.edges.size());
   for (const auto& e : sub.edges) {
@@ -204,54 +181,9 @@ void finish_subgraph(const KnowledgeGraph& g, NodeId a, NodeId b,
     ladj[cursor[e.dst]++] = e.src;
   }
   local_bfs_csr(off.data(), ladj.data(), m, EnclosingSubgraph::kTargetA,
-                EnclosingSubgraph::kTargetB, sub.dist_a, queue);
+                EnclosingSubgraph::kTargetB, sub.dist_a, s.queue);
   local_bfs_csr(off.data(), ladj.data(), m, EnclosingSubgraph::kTargetB,
-                EnclosingSubgraph::kTargetA, sub.dist_b, queue);
-  // The targets know their own distances regardless of masking.
-  sub.dist_a[EnclosingSubgraph::kTargetA] = 0;
-  sub.dist_b[EnclosingSubgraph::kTargetB] = 0;
-}
-
-/// Legacy kernel: per-link O(num_nodes) distance maps, candidate scan and
-/// local-id fill.  Kept as the scale-bench baseline and as a bit-exactness
-/// cross-check for the epoch kernel.
-EnclosingSubgraph extract_clear_per_link(const KnowledgeGraph& g, NodeId a,
-                                         NodeId b,
-                                         const ExtractOptions& options,
-                                         EdgeId masked_edge) {
-  BfsOptions bfs_opts;
-  bfs_opts.max_depth = options.num_hops;
-  bfs_opts.masked_edge = masked_edge;
-  const std::size_t total_nodes = static_cast<std::size_t>(g.num_nodes());
-  PooledI32 da(total_nodes), db(total_nodes), queue(total_nodes);
-  bfs_distances_into(g, a, bfs_opts, da.v, queue.v);
-  bfs_distances_into(g, b, bfs_opts, db.v, queue.v);
-
-  // Collect candidate nodes per the union / intersection rule.
-  EnclosingSubgraph sub;
-  std::vector<NodeId> candidates;
-  if (options.collect_hull) {
-    sub.hull.push_back(a);
-    sub.hull.push_back(b);
-  }
-  for (NodeId v = 0; v < static_cast<NodeId>(g.num_nodes()); ++v) {
-    if (v == a || v == b) continue;
-    const bool in_a = da.v[v] != kUnreachable;
-    const bool in_b = db.v[v] != kUnreachable;
-    if (options.collect_hull && (in_a || in_b)) sub.hull.push_back(v);
-    const bool keep = options.mode == NeighborhoodMode::kUnion
-                          ? (in_a || in_b)
-                          : (in_a && in_b);
-    if (keep) candidates.push_back(v);
-  }
-
-  DenseLocalMap local_of(total_nodes);
-  PooledI32 off(1), ladj(1), cursor(1);
-  finish_subgraph(
-      g, a, b, masked_edge, options, candidates, sub,
-      [&](NodeId v) { return da.v[v]; }, [&](NodeId v) { return db.v[v]; },
-      local_of, off.v, ladj.v, cursor.v, queue.v);
-  return sub;
+                EnclosingSubgraph::kTargetA, sub.dist_b, s.queue);
 }
 
 /// Ascending sort of distinct non-negative node ids: LSD radix over the bytes
@@ -318,24 +250,30 @@ const std::vector<NodeId>& bfs_frontier(const KnowledgeGraph& g,
   return scratch;
 }
 
-/// Default kernel: epoch-stamped visited maps — per-link cost follows the
-/// touched subgraph, not the graph (DESIGN.md §2.6).
-EnclosingSubgraph extract_epoch(const KnowledgeGraph& g, NodeId a, NodeId b,
-                                const ExtractOptions& options,
-                                EdgeId masked_edge,
-                                std::shared_ptr<const Frontier>* frontier_a,
-                                std::shared_ptr<const Frontier>* frontier_b) {
-  auto& s = tls_scratch();
-  // A masked traversal is specific to this link: never replay or fill.
+}  // namespace
+
+EnclosingSubgraph extract_enclosing_subgraph(
+    const KnowledgeGraph& g, NodeId a, NodeId b, const ExtractOptions& options,
+    std::shared_ptr<const Frontier>* frontier_a,
+    std::shared_ptr<const Frontier>* frontier_b) {
+  if (a == b)
+    throw std::invalid_argument("extract_enclosing_subgraph: a == b");
+  if (options.num_hops < 1)
+    throw std::invalid_argument("extract_enclosing_subgraph: num_hops < 1");
+
+  // Hide the target link (if it exists) from all traversals.  A masked
+  // traversal is specific to this link: never replay or fill a slot.
+  const EdgeId masked_edge = g.find_edge(a, b);
   if (masked_edge >= 0) frontier_a = frontier_b = nullptr;
+  auto& s = tls_scratch();
   const auto& va = bfs_frontier(g, a, masked_edge, options.num_hops,
                                 frontier_a, s.da, s.va);
   const auto& vb = bfs_frontier(g, b, masked_edge, options.num_hops,
                                 frontier_b, s.db, s.vb);
 
   // Sorted union of the two frontiers minus the targets: ascending node id
-  // reproduces the legacy kernel's 0..N candidate scan byte-for-byte while
-  // only touching the nodes actually reached.
+  // is the order of a 0..N candidate scan, while only the nodes actually
+  // reached are touched.
   s.merged.clear();
   for (const NodeId v : va)
     if (v != a && v != b) s.merged.push_back(v);
@@ -357,33 +295,8 @@ EnclosingSubgraph extract_epoch(const KnowledgeGraph& g, NodeId a, NodeId b,
     for (const NodeId v : s.merged)
       if (s.da.visited(v) && s.db.visited(v)) candidates.push_back(v);
   }
-
-  s.local_id.begin(g.num_nodes());
-  finish_subgraph(
-      g, a, b, masked_edge, options, candidates, sub,
-      [&](NodeId v) { return s.da.get(v); },
-      [&](NodeId v) { return s.db.get(v); }, s.local_id, s.off, s.ladj,
-      s.cursor, s.queue);
+  finish_subgraph(g, a, b, masked_edge, options, candidates, sub, s);
   return sub;
-}
-
-}  // namespace
-
-EnclosingSubgraph extract_enclosing_subgraph(
-    const KnowledgeGraph& g, NodeId a, NodeId b, const ExtractOptions& options,
-    std::shared_ptr<const Frontier>* frontier_a,
-    std::shared_ptr<const Frontier>* frontier_b) {
-  if (a == b)
-    throw std::invalid_argument("extract_enclosing_subgraph: a == b");
-  if (options.num_hops < 1)
-    throw std::invalid_argument("extract_enclosing_subgraph: num_hops < 1");
-
-  // Hide the target link (if it exists) from all traversals.
-  const EdgeId masked_edge = g.find_edge(a, b);
-  return options.clear_per_link
-             ? extract_clear_per_link(g, a, b, options, masked_edge)
-             : extract_epoch(g, a, b, options, masked_edge, frontier_a,
-                             frontier_b);
 }
 
 FrontierCacheStats frontier_cache_stats() {

@@ -60,14 +60,6 @@ struct ExtractOptions {
   /// invalidation support); off by default — the extraction bytes are
   /// unchanged either way.
   bool collect_hull = false;
-  /// Use the legacy extraction kernel that clears O(num_nodes) scratch
-  /// (distance maps, candidate scan, local-id map) for every link.  The
-  /// default kernel instead stamps visits with a per-thread epoch counter
-  /// (DESIGN.md §2.6), so a link costs O(|subgraph|) regardless of graph
-  /// size — the difference is gated at >= 5x at a million nodes by
-  /// bench_extraction_throughput.  Both kernels are bit-identical in output;
-  /// this flag exists as the bench baseline and a determinism cross-check.
-  bool clear_per_link = false;
 };
 
 /// One hop-bounded BFS from `source` with no masked edge: the reached nodes
@@ -94,8 +86,11 @@ struct Frontier {
 /// target and options.num_hops (std::invalid_argument otherwise) on the
 /// graph as it is now — the caller owns staleness.  When the link exists it
 /// is masked out of both traversals, which makes them specific to this link,
-/// so the slots are left untouched; the clear_per_link kernel ignores them
-/// too.  The bytes are the same with and without slots.
+/// so the slots are left untouched.  The bytes are the same with and without
+/// slots.
+///
+/// Visits are stamped into per-thread epoch maps (DESIGN.md §2.6), so a link
+/// costs O(|subgraph|) regardless of graph size.
 EnclosingSubgraph extract_enclosing_subgraph(
     const KnowledgeGraph& g, NodeId a, NodeId b, const ExtractOptions& options,
     std::shared_ptr<const Frontier>* frontier_a = nullptr,

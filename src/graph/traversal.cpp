@@ -5,33 +5,6 @@
 
 namespace amdgcnn::graph {
 
-void bfs_distances_into(const KnowledgeGraph& g, NodeId source,
-                        const BfsOptions& options,
-                        std::vector<std::int32_t>& dist,
-                        std::vector<NodeId>& queue) {
-  if (source < 0 || source >= g.num_nodes())
-    throw std::invalid_argument("bfs_distances: source out of range");
-  dist.assign(static_cast<std::size_t>(g.num_nodes()), kUnreachable);
-  queue.clear();
-  if (source == options.masked_node) return;
-  dist[source] = 0;
-  queue.push_back(source);
-  // Flat frontier with a read cursor instead of a deque: the vector is
-  // reusable scratch and never deallocates between calls.
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const NodeId u = queue[head];
-    const std::int32_t du = dist[u];
-    if (options.max_depth >= 0 && du >= options.max_depth) continue;
-    for (const auto& a : g.neighbors(u)) {
-      if (a.edge == options.masked_edge) continue;
-      if (a.node == options.masked_node) continue;
-      if (dist[a.node] != kUnreachable) continue;
-      dist[a.node] = du + 1;
-      queue.push_back(a.node);
-    }
-  }
-}
-
 void VisitEpochMap::begin(std::int64_t num_nodes) {
   const auto n = static_cast<std::size_t>(num_nodes);
   if (slots_.size() < n) slots_.resize(n, Slot{0u, 0});
@@ -50,7 +23,7 @@ void bfs_distances_epoch(const KnowledgeGraph& g, NodeId source,
   // Queue positions between the two prefetch steps of a row and the read.
   constexpr std::size_t kAhead = 4;
   if (source < 0 || source >= g.num_nodes())
-    throw std::invalid_argument("bfs_distances: source out of range");
+    throw std::invalid_argument("bfs_distances_epoch: source out of range");
   visited_out.clear();
   if (source == options.masked_node) return;
   visit.set(source, 0);
@@ -86,31 +59,15 @@ void bfs_distances_epoch(const KnowledgeGraph& g, NodeId source,
   }
 }
 
-std::vector<std::int32_t> bfs_distances(const KnowledgeGraph& g, NodeId source,
-                                        const BfsOptions& options) {
-  std::vector<std::int32_t> dist;
-  std::vector<NodeId> queue;
-  bfs_distances_into(g, source, options, dist, queue);
-  return dist;
-}
-
-std::vector<NodeId> k_hop_nodes(const KnowledgeGraph& g, NodeId source,
-                                std::int32_t k, const BfsOptions& options) {
-  BfsOptions opts = options;
-  opts.max_depth = k;
-  auto dist = bfs_distances(g, source, opts);
-  std::vector<NodeId> out;
-  for (NodeId v = 0; v < static_cast<NodeId>(g.num_nodes()); ++v)
-    if (dist[v] != kUnreachable) out.push_back(v);
-  return out;
-}
-
 std::int32_t shortest_path_length(const KnowledgeGraph& g, NodeId from,
                                   NodeId to, const BfsOptions& options) {
   if (to < 0 || to >= g.num_nodes())
     throw std::invalid_argument("shortest_path_length: target out of range");
-  auto dist = bfs_distances(g, from, options);
-  return dist[to];
+  thread_local VisitEpochMap visit;
+  thread_local std::vector<NodeId> reached;
+  visit.begin(g.num_nodes());
+  bfs_distances_epoch(g, from, options, visit, reached);
+  return visit.get(to);
 }
 
 }  // namespace amdgcnn::graph

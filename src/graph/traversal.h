@@ -1,7 +1,8 @@
-// Breadth-first traversal utilities on KnowledgeGraph: bounded-depth BFS
-// distances (used by DRNL and k-hop neighborhood collection) with optional
-// masking of one edge (the target link must be hidden from the model — SEAL)
-// and of one node (DRNL computes d(i, a) on the graph with b removed).
+// Breadth-first traversal on KnowledgeGraph: the epoch-stamped, hop-bounded
+// BFS behind SEAL extraction's per-target frontiers and
+// shortest_path_length, with optional masking of one edge (the target link
+// must be hidden from the model — SEAL) and of one node (as when DRNL
+// computes d(i, a) with b removed).
 #pragma once
 
 #include <cstdint>
@@ -21,20 +22,6 @@ struct BfsOptions {
   /// Node id to treat as removed (-1 = none).
   NodeId masked_node = -1;
 };
-
-/// Distances from `source` to every node (kUnreachable when not reached
-/// within max_depth / reachable at all).
-std::vector<std::int32_t> bfs_distances(const KnowledgeGraph& g, NodeId source,
-                                        const BfsOptions& options = {});
-
-/// Allocation-free variant for hot loops: fills `dist` (resized to
-/// g.num_nodes()) and uses `queue` as the BFS frontier.  Both vectors are
-/// caller-provided scratch — the legacy clear-per-link extraction kernel
-/// borrows them from its thread's pool (ag::detail::i32_buffer_pool).
-void bfs_distances_into(const KnowledgeGraph& g, NodeId source,
-                        const BfsOptions& options,
-                        std::vector<std::int32_t>& dist,
-                        std::vector<NodeId>& queue);
 
 /// Epoch-stamped map NodeId -> int32 (DESIGN.md §2.6): resetting for a new
 /// traversal bumps a 32-bit epoch counter instead of clearing the O(N)
@@ -63,6 +50,10 @@ class VisitEpochMap {
   void set(NodeId v, std::int32_t value) {
     slots_[static_cast<std::size_t>(v)] = {epoch_, value};
   }
+  /// Test-only: set the epoch counter, so that the next begin() starts
+  /// epoch `epoch + 1` (0xFFFFFFFF makes it wrap) without ~4e9 begin()
+  /// calls.  Slots keep their stamps.
+  void set_epoch_for_testing(std::uint32_t epoch) { epoch_ = epoch; }
 
  private:
   struct alignas(8) Slot {
@@ -77,20 +68,15 @@ class VisitEpochMap {
 /// by the caller; visited nodes (the hop-bounded frontier, source first, in
 /// discovery order) are appended to `visited_out` (cleared first), which
 /// doubles as the frontier queue.  Produces exactly the distances and the
-/// discovery order of bfs_distances_into — only the clearing cost differs.
-/// The rows of queued nodes it will expand are prefetched a few queue
-/// positions ahead (DESIGN.md §2.6).
+/// discovery order of a plain queue BFS over an O(N) distance array, without
+/// its clearing cost.  The rows of queued nodes it will expand are
+/// prefetched a few queue positions ahead (DESIGN.md §2.6).
 void bfs_distances_epoch(const KnowledgeGraph& g, NodeId source,
                          const BfsOptions& options, VisitEpochMap& visit,
                          std::vector<NodeId>& visited_out);
 
-/// The set of nodes within `k` hops of `source` (including `source`),
-/// in BFS discovery order.
-std::vector<NodeId> k_hop_nodes(const KnowledgeGraph& g, NodeId source,
-                                std::int32_t k,
-                                const BfsOptions& options = {});
-
-/// Shortest-path distance between two nodes, or kUnreachable.
+/// Shortest-path distance between two nodes, or kUnreachable.  Runs
+/// bfs_distances_epoch on a map owned by the calling thread.
 std::int32_t shortest_path_length(const KnowledgeGraph& g, NodeId from,
                                   NodeId to, const BfsOptions& options = {});
 

@@ -33,9 +33,9 @@ std::vector<SubgraphSample> build_samples(
   std::vector<SubgraphSample> out(links.size());
   // Links are claimed dynamically, but each sample lands in its pre-sized
   // slot and depends only on its link, so the result is bit-identical for
-  // any worker count.  Per-worker BFS scratch lives in thread-local pools
-  // inside extract_enclosing_subgraph; feature tensors allocate from each
-  // worker's own tensor pool.
+  // any worker count.  Per-worker extraction scratch is thread-local inside
+  // extract_enclosing_subgraph; feature tensors allocate from each worker's
+  // own tensor pool.
   util::parallel_for("build_samples", options.num_threads,
                      static_cast<std::int64_t>(links.size()),
                      [&](std::int64_t i) {

@@ -47,12 +47,6 @@ BufferPool& buffer_pool() {
   return *pool;
 }
 
-BasicBufferPool<std::int32_t>& i32_buffer_pool() {
-  thread_local BasicBufferPool<std::int32_t>* pool =
-      new BasicBufferPool<std::int32_t>();
-  return *pool;
-}
-
 BasicBufferPool<float>& f32_buffer_pool() {
   thread_local BasicBufferPool<float>* pool = new BasicBufferPool<float>();
   return *pool;
@@ -69,7 +63,6 @@ void reset_pool_stats() {
 }
 void clear_buffer_pool() {
   detail::buffer_pool().clear();
-  detail::i32_buffer_pool().clear();
   detail::f32_buffer_pool().clear();
 }
 

@@ -165,8 +165,8 @@ class BasicBufferPool {
     if (buf.size() == 0) return;
     const std::size_t cap = buf.capacity();
     // In-use accounting is by capacity on both ends: the caller may have
-    // resized the buffer (BFS queues shrink) but never reallocated it, so
-    // capacity is the one quantity that round-trips acquire -> release.
+    // resized the buffer but never reallocated it, so capacity is the one
+    // quantity that round-trips acquire -> release.
     stats_.in_use_bytes -= std::min(stats_.in_use_bytes, cap * sizeof(T));
     if (cap < kMinPoolClass) return;  // frees buf
     std::size_t cls = kMinPoolClass;
@@ -218,11 +218,6 @@ using BufferPool = BasicBufferPool<double>;
 /// The calling thread's pool.  Never destroyed (leaked on purpose) so tensor
 /// destructors can run safely during static/thread teardown.
 BufferPool& buffer_pool();
-
-/// The calling thread's int32 scratch pool — the legacy clear-per-link
-/// extraction kernel borrows its O(N) distance maps, queue and local-id map
-/// from it (graph/subgraph.cpp); the default epoch kernel does not.
-BasicBufferPool<std::int32_t>& i32_buffer_pool();
 
 /// The calling thread's float pool — storage of f32 tensors.  Kept separate
 /// from the double pool so the two dtypes never alias each other's buckets.

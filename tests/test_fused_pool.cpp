@@ -366,21 +366,21 @@ TEST(BufferPool, NearDuplicateSizesShareOneBucket) {
 
 TEST(BufferPool, PooledBuffersAcrossClassesNeverAlias) {
   // Simultaneously held buffers — same class, different classes, and across
-  // the double/int32 pools — must be disjoint allocations: writes through
+  // the double/float pools — must be disjoint allocations: writes through
   // one must never show up in another.
   clear_buffer_pool();
   auto& dpool = detail::buffer_pool();
-  auto& ipool = detail::i32_buffer_pool();
+  auto& fpool = detail::f32_buffer_pool();
   auto a = dpool.acquire_zeroed(600);   // class 1024
   auto b = dpool.acquire_zeroed(900);   // class 1024, a still live
   auto c = dpool.acquire_zeroed(100);   // class 128
-  auto d = ipool.acquire_zeroed(600);   // int pool, class 1024
+  auto d = fpool.acquire_zeroed(600);   // float pool, class 1024
   EXPECT_NE(a.data(), b.data());
   EXPECT_NE(a.data(), c.data());
   EXPECT_NE(static_cast<const void*>(a.data()),
             static_cast<const void*>(d.data()));
   std::fill(a.begin(), a.end(), 1.0);
-  std::fill(d.begin(), d.end(), std::int32_t{7});
+  std::fill(d.begin(), d.end(), 7.0f);
   EXPECT_TRUE(std::all_of(b.begin(), b.end(),
                           [](double v) { return v == 0.0; }));
   EXPECT_TRUE(std::all_of(c.begin(), c.end(),
@@ -395,7 +395,7 @@ TEST(BufferPool, PooledBuffersAcrossClassesNeverAlias) {
   dpool.release(std::move(b));
   dpool.release(std::move(c));
   dpool.release(std::move(e));
-  ipool.release(std::move(d));
+  fpool.release(std::move(d));
   clear_buffer_pool();
 }
 

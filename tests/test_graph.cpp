@@ -1,11 +1,12 @@
 // KnowledgeGraph container + traversal tests.
 #include <gtest/gtest.h>
 
-#include <queue>
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "datasets/kg_generator.h"
+#include "extraction_reference.h"
 #include "graph/knowledge_graph.h"
 #include "graph/traversal.h"
 #include "test_util.h"
@@ -13,6 +14,8 @@
 
 namespace amdgcnn::graph {
 namespace {
+
+using testing::reference_bfs;
 
 TEST(KnowledgeGraph, BuildAndQuery) {
   KnowledgeGraph g(2, 3, /*edge_attr_dim=*/2, /*node_feat_dim=*/2);
@@ -95,9 +98,28 @@ TEST(KnowledgeGraph, ZeroAttrDimsReturnEmptySpans) {
   EXPECT_EQ(g.node_features(0).size(), 0u);
 }
 
+/// Every node's value in `visit`'s current epoch (kUnreachable if unset).
+std::vector<std::int32_t> dense(const VisitEpochMap& visit, std::int64_t n) {
+  std::vector<std::int32_t> d(static_cast<std::size_t>(n));
+  for (std::size_t v = 0; v < d.size(); ++v)
+    d[v] = visit.get(static_cast<NodeId>(v));
+  return d;
+}
+
+/// Distances from `source` to every node through the library's BFS kernel.
+std::vector<std::int32_t> epoch_distances(const KnowledgeGraph& g,
+                                          NodeId source,
+                                          const BfsOptions& o = {}) {
+  VisitEpochMap visit;
+  std::vector<NodeId> order;
+  visit.begin(g.num_nodes());
+  bfs_distances_epoch(g, source, o, visit, order);
+  return dense(visit, g.num_nodes());
+}
+
 TEST(Bfs, DistancesOnPath) {
   auto g = testing::path_graph(5);
-  auto d = bfs_distances(g, 0);
+  auto d = epoch_distances(g, 0);
   EXPECT_EQ(d, (std::vector<std::int32_t>{0, 1, 2, 3, 4}));
 }
 
@@ -105,7 +127,7 @@ TEST(Bfs, MaxDepthTruncates) {
   auto g = testing::path_graph(5);
   BfsOptions opts;
   opts.max_depth = 2;
-  auto d = bfs_distances(g, 0, opts);
+  auto d = epoch_distances(g, 0, opts);
   EXPECT_EQ(d, (std::vector<std::int32_t>{0, 1, 2, kUnreachable, kUnreachable}));
 }
 
@@ -113,7 +135,7 @@ TEST(Bfs, MaskedEdgeBlocksPath) {
   auto g = testing::path_graph(3);
   BfsOptions opts;
   opts.masked_edge = g.find_edge(0, 1);
-  auto d = bfs_distances(g, 0, opts);
+  auto d = epoch_distances(g, 0, opts);
   EXPECT_EQ(d[1], kUnreachable);
   EXPECT_EQ(d[2], kUnreachable);
 }
@@ -122,7 +144,7 @@ TEST(Bfs, MaskedNodeActsRemoved) {
   auto g = testing::triangle_with_tail();
   BfsOptions opts;
   opts.masked_node = 2;
-  auto d = bfs_distances(g, 0, opts);
+  auto d = epoch_distances(g, 0, opts);
   EXPECT_EQ(d[1], 1);               // via direct edge 0-1
   EXPECT_EQ(d[2], kUnreachable);    // removed
   EXPECT_EQ(d[3], kUnreachable);    // only reachable through 2
@@ -132,45 +154,16 @@ TEST(Bfs, MaskedSourceYieldsAllUnreachable) {
   auto g = testing::path_graph(3);
   BfsOptions opts;
   opts.masked_node = 0;
-  auto d = bfs_distances(g, 0, opts);
+  auto d = epoch_distances(g, 0, opts);
   for (auto v : d) EXPECT_EQ(v, kUnreachable);
-}
-
-/// Plain std::queue BFS over an O(N) distance array: the reference for the
-/// epoch kernel, discovery order included.
-struct ReferenceBfs {
-  std::vector<std::int32_t> dist;
-  std::vector<NodeId> order;
-};
-
-ReferenceBfs reference_bfs(const KnowledgeGraph& g, NodeId source,
-                           const BfsOptions& o) {
-  ReferenceBfs r;
-  r.dist.assign(static_cast<std::size_t>(g.num_nodes()), kUnreachable);
-  if (source == o.masked_node) return r;
-  std::queue<NodeId> q;
-  r.dist[source] = 0;
-  q.push(source);
-  while (!q.empty()) {
-    const NodeId u = q.front();
-    q.pop();
-    r.order.push_back(u);
-    if (o.max_depth >= 0 && r.dist[u] >= o.max_depth) continue;
-    for (const auto& a : g.neighbors(u)) {
-      if (a.edge == o.masked_edge || a.node == o.masked_node ||
-          r.dist[a.node] != kUnreachable)
-        continue;
-      r.dist[a.node] = r.dist[u] + 1;
-      q.push(a.node);
-    }
-  }
-  return r;
 }
 
 // The epoch kernel counts depths per queue run, stops at the first node at
 // max_depth and prefetches rows ahead; none of that may change a distance or
 // the discovery order.  One map serves every traversal, so a slot leaking
 // from an earlier epoch into a later one would show up as a distance.
+// shortest_path_length runs the same kernel on its own thread-local map,
+// which grows from the first graph to the second.
 TEST(Bfs, EpochKernelMatchesReferenceBfs) {
   datasets::RandomKGOptions ro;
   ro.num_nodes = 400;
@@ -185,8 +178,8 @@ TEST(Bfs, EpochKernelMatchesReferenceBfs) {
 
   VisitEpochMap visit;
   std::vector<NodeId> order;
-  std::vector<std::int32_t> got;
   util::Rng rng(11);
+  util::Rng pick(13);  // shortest_path_length targets
   int traversals = 0;
   for (const auto& g : graphs) {
     const auto n = static_cast<std::uint64_t>(g.num_nodes());
@@ -218,10 +211,18 @@ TEST(Bfs, EpochKernelMatchesReferenceBfs) {
                 " masked_edge=" + std::to_string(o.masked_edge) +
                 " masked_node=" + std::to_string(o.masked_node);
             ASSERT_EQ(order, want.order) << what;
-            got.resize(want.dist.size());
-            for (std::size_t v = 0; v < got.size(); ++v)
-              got[v] = visit.get(static_cast<NodeId>(v));
-            ASSERT_EQ(got, want.dist) << what;
+            ASSERT_EQ(dense(visit, g.num_nodes()), want.dist) << what;
+            // The farthest node reached, one halfway, and any node (mostly
+            // unreachable at small depths).
+            std::vector<NodeId> targets = {
+                static_cast<NodeId>(pick.uniform_int(n))};
+            if (!want.order.empty()) {
+              targets.push_back(want.order.back());
+              targets.push_back(want.order[want.order.size() / 2]);
+            }
+            for (const NodeId t : targets)
+              ASSERT_EQ(shortest_path_length(g, source, t, o), want.dist[t])
+                  << what << " target=" << t;
             ++traversals;
           }
         }
@@ -231,10 +232,50 @@ TEST(Bfs, EpochKernelMatchesReferenceBfs) {
   EXPECT_GE(traversals, 1000);
 }
 
+// A hop-bounded BFS reaches exactly the k-hop neighborhood: the frontier an
+// extraction merges.
 TEST(KHop, CollectsExactNeighborhood) {
   auto g = testing::path_graph(7);
-  auto nodes = k_hop_nodes(g, 3, 2);
+  BfsOptions opts;
+  opts.max_depth = 2;
+  VisitEpochMap visit;
+  std::vector<NodeId> nodes;
+  visit.begin(g.num_nodes());
+  bfs_distances_epoch(g, 3, opts, visit, nodes);
+  std::sort(nodes.begin(), nodes.end());
   EXPECT_EQ(nodes, (std::vector<NodeId>{1, 2, 3, 4, 5}));
+}
+
+// 32-bit epoch wraparound: begin() then clears every slot, so no stamp from
+// before the wrap reads as visited after it.  Stamps of epoch 1, the first
+// epoch after a wrap, are the ones that would alias without the clear.
+TEST(VisitEpochMap, WraparoundClearsStaleSlots) {
+  datasets::RandomKGOptions ro;
+  ro.num_nodes = 200;
+  ro.num_edges = 600;
+  ro.seed = 9;
+  const auto g = datasets::make_random_kg(ro);
+  const auto n = g.num_nodes();
+  BfsOptions o;
+  o.max_depth = 3;
+  VisitEpochMap visit;
+  std::vector<NodeId> order;
+  // Three traversals before the wrap, in epochs 1, 0xFFFFFFFE and
+  // 0xFFFFFFFF, and one after it, each checked against the reference.
+  for (const NodeId source : {0, 1, 2, 3}) {
+    if (source == 1) visit.set_epoch_for_testing(0xFFFFFFFDu);
+    visit.begin(n);
+    if (source == 3) {
+      for (NodeId v = 0; v < n; ++v) {
+        ASSERT_FALSE(visit.visited(v)) << "stale slot " << v;
+        ASSERT_EQ(visit.get(v), kUnreachable) << "stale slot " << v;
+      }
+    }
+    bfs_distances_epoch(g, source, o, visit, order);
+    const auto want = reference_bfs(g, source, o);
+    ASSERT_EQ(order, want.order) << "source " << source;
+    ASSERT_EQ(dense(visit, n), want.dist) << "source " << source;
+  }
 }
 
 TEST(ShortestPath, MatchesBfs) {

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "datasets/kg_generator.h"
+#include "extraction_reference.h"
 #include "graph/subgraph.h"
 #include "graph/traversal.h"
 #include "seal/dataset.h"
@@ -273,8 +274,8 @@ TEST(ExtractionProperty, SubgraphInvariantsHoldOnRandomGraphs) {
         graph::BfsOptions hull;
         hull.max_depth = options.num_hops;
         hull.masked_edge = g.find_edge(link.a, link.b);
-        const auto hull_a = graph::bfs_distances(g, link.a, hull);
-        const auto hull_b = graph::bfs_distances(g, link.b, hull);
+        const auto hull_a = testing::reference_bfs(g, link.a, hull).dist;
+        const auto hull_b = testing::reference_bfs(g, link.b, hull).dist;
         // Lower bounds for the DRNL distances: unbounded-depth BFS with the
         // other target removed, on the FULL graph.  The subgraph's own
         // distances may only be larger (paths through dropped nodes vanish)
@@ -284,8 +285,8 @@ TEST(ExtractionProperty, SubgraphInvariantsHoldOnRandomGraphs) {
         from_b.max_depth = -1;
         from_a.masked_node = link.b;
         from_b.masked_node = link.a;
-        const auto da = graph::bfs_distances(g, link.a, from_a);
-        const auto db = graph::bfs_distances(g, link.b, from_b);
+        const auto da = testing::reference_bfs(g, link.a, from_a).dist;
+        const auto db = testing::reference_bfs(g, link.b, from_b).dist;
         std::set<graph::NodeId> members(sub.nodes.begin(), sub.nodes.end());
         ASSERT_EQ(members.size(), sub.nodes.size()) << "duplicate nodes";
         ASSERT_EQ(sub.dist_a.size(), sub.nodes.size());

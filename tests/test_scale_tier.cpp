@@ -12,7 +12,8 @@
 //     typed errors instead of serving garbage views.
 //   * EpochExtraction — the per-thread visited-epoch kernel (filling or
 //     replaying frontier slots, or without them) is bit-identical to the
-//     legacy clear-per-link kernel on randomized graphs, static and mutated.
+//     clear-per-link oracle of tests/extraction_reference.h on randomized
+//     graphs, static and mutated.
 //   * IdCapacity — the 32-bit index-overflow guards, shrunk to a testable
 //     capacity via KnowledgeGraph::set_id_capacity_for_testing.
 //   * ScaleGenerator — make_scale_kg / sample_scale_links are pure
@@ -31,6 +32,7 @@
 #include "core/link_predictor.h"
 #include "core/seal_link_classifier.h"
 #include "datasets/kg_generator.h"
+#include "extraction_reference.h"
 #include "graph/graph_types.h"
 #include "graph/knowledge_graph.h"
 #include "graph/snapshot.h"
@@ -356,11 +358,13 @@ std::vector<seal::LinkExample> with_edge_links(
 }
 
 // The epoch kernel (with empty, filled or no frontier slots) must reproduce
-// the legacy clear-per-link kernel bit for bit — same nodes in the same
-// order, same distances, same induced edges — across modes, hop counts, caps
-// and overlay mutations.  Determinism is the contract everything else
-// (parallel build, score cache, checkpoint reproducibility) stands on.
-TEST(EpochExtraction, MatchesLegacyKernelOnRandomGraphs) {
+// the clear-per-link oracle bit for bit — same nodes in the same order, same
+// distances, same induced edges — across modes, hop counts, caps and overlay
+// mutations.  The oracle shares no step with the kernel, so a bug in its
+// BFS, merge, cap, induction or DRNL distances shows up here.  Determinism
+// is the contract everything else (parallel build, score cache, checkpoint
+// reproducibility) stands on.
+TEST(EpochExtraction, MatchesReferenceOnRandomGraphs) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     auto g = datasets::make_random_kg(random_kg_options(seed));
     for (const bool mutate : {false, true}) {
@@ -380,16 +384,14 @@ TEST(EpochExtraction, MatchesLegacyKernelOnRandomGraphs) {
                               graph::NeighborhoodMode::kIntersection}) {
         for (const std::int32_t hops : {1, 2, 3}) {
           for (const std::int64_t cap : {20, 3}) {
-            graph::ExtractOptions legacy;
-            legacy.mode = mode;
-            legacy.num_hops = hops;
-            legacy.max_nodes = cap;
-            legacy.collect_hull = true;
-            legacy.clear_per_link = true;
-            auto epoch = legacy;
-            epoch.clear_per_link = false;
+            graph::ExtractOptions options;
+            options.mode = mode;
+            options.num_hops = hops;
+            options.max_nodes = cap;
+            options.collect_hull = true;
             for (const auto& l : links) {
-              const auto want = extract_enclosing_subgraph(g, l.a, l.b, legacy);
+              const auto want =
+                  testing::extract_reference(g, l.a, l.b, options);
               const std::string what =
                   "seed=" + std::to_string(seed) +
                   " mutate=" + std::to_string(mutate) +
@@ -397,9 +399,9 @@ TEST(EpochExtraction, MatchesLegacyKernelOnRandomGraphs) {
                   " cap=" + std::to_string(cap) + " link=(" +
                   std::to_string(l.a) + "," + std::to_string(l.b) + ")";
               expect_subgraphs_equal(
-                  extract_enclosing_subgraph(g, l.a, l.b, epoch), want,
+                  extract_enclosing_subgraph(g, l.a, l.b, options), want,
                   what + " epoch");
-              expect_slotted_extractions_equal(g, l, epoch, want, what);
+              expect_slotted_extractions_equal(g, l, options, want, what);
             }
           }
         }
@@ -410,9 +412,9 @@ TEST(EpochExtraction, MatchesLegacyKernelOnRandomGraphs) {
 
 // Dense graphs whose 2-hop unions run to hundreds of nodes, with ids that
 // need two and three bytes: the epoch kernel radix-sorts such unions and
-// partial-sorts the capped candidates, and must still match the legacy
-// kernel's full scan and full sort bit for bit, replayed slots included.
-TEST(EpochExtraction, MatchesLegacyKernelOnLargeNeighborhoods) {
+// partial-sorts the capped candidates, and must still match the oracle's
+// full scan and full sort bit for bit, replayed slots included.
+TEST(EpochExtraction, MatchesReferenceOnLargeNeighborhoods) {
   for (const std::int64_t nodes : {3000, 70000}) {
     datasets::RandomKGOptions o;
     o.num_nodes = nodes;
@@ -425,16 +427,13 @@ TEST(EpochExtraction, MatchesLegacyKernelOnLargeNeighborhoods) {
                             graph::NeighborhoodMode::kIntersection}) {
       for (const std::int32_t hops : {1, 2, 3}) {
         for (const std::int64_t cap : {0, 32, 3}) {
-          graph::ExtractOptions legacy;
-          legacy.mode = mode;
-          legacy.num_hops = hops;
-          legacy.max_nodes = cap;
-          legacy.collect_hull = true;
-          legacy.clear_per_link = true;
-          auto epoch = legacy;
-          epoch.clear_per_link = false;
+          graph::ExtractOptions options;
+          options.mode = mode;
+          options.num_hops = hops;
+          options.max_nodes = cap;
+          options.collect_hull = true;
           for (const auto& l : links) {
-            const auto want = extract_enclosing_subgraph(g, l.a, l.b, legacy);
+            const auto want = testing::extract_reference(g, l.a, l.b, options);
             // One hop reaches ~2 x 24 nodes; from two hops on the unions
             // are large enough to take the radix sort.
             if (hops >= 2) {
@@ -446,8 +445,8 @@ TEST(EpochExtraction, MatchesLegacyKernelOnLargeNeighborhoods) {
                 std::to_string(cap) + " link=(" + std::to_string(l.a) + "," +
                 std::to_string(l.b) + ")";
             expect_subgraphs_equal(
-                extract_enclosing_subgraph(g, l.a, l.b, epoch), want, what);
-            expect_slotted_extractions_equal(g, l, epoch, want, what);
+                extract_enclosing_subgraph(g, l.a, l.b, options), want, what);
+            expect_slotted_extractions_equal(g, l, options, want, what);
           }
         }
       }
